@@ -9,12 +9,8 @@
 // machines. Default remains unpinned (identical results; placement only
 // affects locality).
 //
-// The pinned sweep additionally emits an explicit barrier-vs-pipelined
-// A/B of the flagship tiled method: "our-2step(barrier)" runs the
-// historical two-global-barriers-per-block wedge schedule
-// (Pipeline::Off), "our-2step(pipelined)" the point-to-point NeighborSync
-// schedule (Pipeline::On) — bitwise-identical results, so the column pair
-// isolates pure synchronization cost at each core count.
+// Every cell is the median of SF_BENCH_REPS runs (bench::measure), so one
+// configuration reads the same number wherever it appears.
 #include <cstring>
 #include <iostream>
 
@@ -36,14 +32,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> header{"cores", "affinity"};
   for (const auto& m : methods) header.push_back(m.label);
-  // The pinned high-thread sweep is where barrier cost shows; give it the
-  // explicit schedule A/B columns.
-  const bool schedule_ab = aff != Affinity::None;
-  const bench::Competitor flagship{"our-2step", "ours-2step", Isa::Avx2};
-  if (schedule_ab) {
-    header.push_back("our-2step(barrier)");
-    header.push_back("our-2step(pipelined)");
-  }
 
   // Machine-readable trajectory: every (stencil, method, cores) GFLOP/s
   // lands in BENCH_fig10.json alongside the CSVs (scripts/bench_summary.py
@@ -70,20 +58,9 @@ int main(int argc, char** argv) {
         }
         Solver s = bench::competitor_solver(m, spec, full);
         s.threads(c).affinity(aff);
-        const double gflops = s.run().gflops;
+        const double gflops = bench::measure(s).gflops;
         record(m.label, gflops);
         row.push_back(Table::num(gflops));
-      }
-      if (schedule_ab) {
-        for (Pipeline pl : {Pipeline::Off, Pipeline::On}) {
-          Solver s = bench::competitor_solver(flagship, spec, full);
-          s.threads(c).affinity(aff).pipeline(pl);
-          const double gflops = s.run().gflops;
-          record(pl == Pipeline::Off ? "our-2step-barrier"
-                                     : "our-2step-pipelined",
-                 gflops);
-          row.push_back(Table::num(gflops));
-        }
       }
       t.add_row(row);
     }

@@ -19,8 +19,8 @@
 ///    processes (see core/tuner.hpp).
 ///  * `SF_TILE_MIN_BYTES=n` — working-set floor (bytes, default 2 MiB)
 ///    below which Tiling::Auto stays untiled even on multicore: smaller
-///    problems lose more to stage barriers than they gain from parallel
-///    wedges.
+///    problems lose more to stage synchronization than they gain from
+///    parallel wedges.
 ///  * `SF_LLC_BYTES=n`    — override the detected last-level-cache size the
 ///    Tiling::Auto cost model compares working sets against
 ///    (common/cpu.hpp llc_bytes()).
@@ -44,16 +44,6 @@
 ///    pass (core/execution_plan.hpp TileTree), `auto` picks 3 when the
 ///    working set exceeds the LLC and 1 otherwise. Results are bitwise
 ///    identical across depths; only the tile walk changes.
-///  * `SF_ADAPTIVE_BATCH=0` — pin the serving dispatcher's per-round drain
-///    cap to the configured `max_batch` instead of letting it adapt to the
-///    observed queue depth (serving/server.hpp). Any other value — including
-///    unset — keeps adaptation on.
-///  * `SF_PIPELINE=0`     — select the legacy global-barrier wedge schedule
-///    instead of the default point-to-point neighbor pipeline
-///    (tiling/split_tiling.hpp Pipeline) wherever the request leaves
-///    Pipeline::Auto. Results are bitwise identical either way; the knob
-///    exists so the barrier path stays benchmarkable (fig10) and
-///    bisectable.
 ///  * `SF_TEST_JITTER=n`  — test-only fault injection: each pipelined wedge
 ///    stage first sleeps its worker a pseudo-random 0..n microseconds
 ///    (runtime/worker_pool.hpp test_jitter_stall), forcing maximal stage
@@ -144,22 +134,6 @@ inline int env_tile_levels() {
   if (std::string(v) == "auto") return -1;
   const long n = std::atol(v);
   return n < 1 ? 1 : n > 3 ? 3 : static_cast<int>(n);
-}
-
-/// SF_ADAPTIVE_BATCH: false only when the variable is set to exactly "0" —
-/// the escape hatch that pins the serving dispatcher's drain cap to the
-/// configured max_batch.
-inline bool env_adaptive_batch() {
-  const char* v = std::getenv("SF_ADAPTIVE_BATCH");
-  return v == nullptr || std::string(v) != "0";
-}
-
-/// SF_PIPELINE: false only when the variable is set to exactly "0" — the
-/// escape hatch that puts Pipeline::Auto requests back on the historical
-/// global-barrier wedge schedule.
-inline bool env_pipeline() {
-  const char* v = std::getenv("SF_PIPELINE");
-  return v == nullptr || std::string(v) != "0";
 }
 
 }  // namespace sf

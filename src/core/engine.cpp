@@ -6,14 +6,13 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/env.hpp"
 #include "core/tuner.hpp"
 #include "fold/cost_model.hpp"
-#include "fold/folding_plan.hpp"
 #include "grid/grid_utils.hpp"
-#include "kernels/kernels3d_impl.hpp"
 #include "layout/transpose_layout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiling/split_tiling.hpp"
@@ -482,103 +481,71 @@ void PreparedStencil::validate_views(FieldView3D a, FieldView3D b) const {
            st_->kernel->width);
 }
 
-void PreparedStencil::advance_batch(const std::vector<TileBatch1D>& items,
-                                    int nsteps) const {
+template <class Item>
+void PreparedStencil::advance_batch_impl(const std::vector<Item>& items,
+                                         int nsteps) const {
+  constexpr int D = std::is_same_v<Item, TileBatch1D>   ? 1
+                    : std::is_same_v<Item, TileBatch2D> ? 2
+                                                        : 3;
   if (st_ == nullptr)
     throw std::invalid_argument(
         "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 1)
+  if (st_->spec.dims != D)
     throw std::invalid_argument(
-        "1-D advance_batch() on a stencil prepared for " +
+        std::to_string(D) + "-D advance_batch() on a stencil prepared for " +
         std::to_string(st_->spec.dims) + "-D");
   if (items.empty()) return;
-  for (const TileBatch1D& it : items) {
-    if (st_->validate)
-      validate(st_->spec.has_source, st_->halo, st_->nx, it.a, it.b, it.k,
-               st_->accept, st_->kernel->width);
+  for (const Item& it : items) {
+    if (st_->validate) {
+      if constexpr (D == 1)
+        validate_views(it.a, it.b, it.k);
+      else
+        validate_views(it.a, it.b);
+    }
     if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
   }
-  const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
+  const StencilSpec& spec = st_->spec;
+  const Pattern1D* src = spec.has_source ? &spec.src1 : nullptr;
   if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p1, items, src, nsteps, st_->plan.tile);
+    if constexpr (D == 1)
+      run_tile_plan_batch(spec.p1, items, src, nsteps, st_->plan.tile);
+    else if constexpr (D == 2)
+      run_tile_plan_batch(spec.p2, items, nsteps, st_->plan.tile);
+    else
+      run_tile_plan_batch(spec.p3, items, nsteps, st_->plan.tile);
     return;
   }
+  const auto run_item = [&](const Item& it) {
+    if constexpr (D == 1)
+      st_->kernel->run1(spec.p1, it.a, it.b, src, it.k, nsteps);
+    else if constexpr (D == 2)
+      st_->kernel->run2(spec.p2, it.a, it.b, nsteps);
+    else
+      st_->kernel->run3(spec.p3, it.a, it.b, nsteps);
+  };
   // Untiled plan: the batch *is* the parallelism — fan the independent
   // per-item kernel runs over the shared pool in one dispatch.
   if (items.size() > 1 && st_->threads != 1) {
     shared_pool(st_->threads, st_->affinity)
         ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch1D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run1(st_->spec.p1, it.a, it.b, src, it.k, nsteps);
+          run_item(items[static_cast<std::size_t>(i)]);
         });
   } else {
-    for (const TileBatch1D& it : items)
-      st_->kernel->run1(st_->spec.p1, it.a, it.b, src, it.k, nsteps);
+    for (const Item& it : items) run_item(it);
   }
 }
 
+void PreparedStencil::advance_batch(const std::vector<TileBatch1D>& items,
+                                    int nsteps) const {
+  advance_batch_impl(items, nsteps);
+}
 void PreparedStencil::advance_batch(const std::vector<TileBatch2D>& items,
                                     int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument(
-        "2-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  if (items.empty()) return;
-  for (const TileBatch2D& it : items) {
-    if (st_->validate)
-      validate(st_->halo, st_->nx, st_->ny, it.a, it.b, st_->accept,
-               st_->kernel->width);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
-  }
-  if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p2, items, nsteps, st_->plan.tile);
-    return;
-  }
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch2D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run2(st_->spec.p2, it.a, it.b, nsteps);
-        });
-  } else {
-    for (const TileBatch2D& it : items)
-      st_->kernel->run2(st_->spec.p2, it.a, it.b, nsteps);
-  }
+  advance_batch_impl(items, nsteps);
 }
-
 void PreparedStencil::advance_batch(const std::vector<TileBatch3D>& items,
                                     int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument(
-        "3-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  if (items.empty()) return;
-  for (const TileBatch3D& it : items) {
-    if (st_->validate)
-      validate(st_->halo, st_->nx, st_->ny, st_->nz, it.a, it.b, st_->accept,
-               st_->kernel->width);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
-  }
-  if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p3, items, nsteps, st_->plan.tile);
-    return;
-  }
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch3D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run3(st_->spec.p3, it.a, it.b, nsteps);
-        });
-  } else {
-    for (const TileBatch3D& it : items)
-      st_->kernel->run3(st_->spec.p3, it.a, it.b, nsteps);
-  }
+  advance_batch_impl(items, nsteps);
 }
 
 // ---------------------------------------------------------------------------
@@ -824,8 +791,6 @@ void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
   if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
   if (opts.threads == 0) opts.threads = env_threads();
   opts.validate = opts.validate && env_validate();
-  if (opts.pipeline == Pipeline::Auto)
-    opts.pipeline = env_pipeline() ? Pipeline::On : Pipeline::Off;
   if (ext.nx == 0) ext.nx = spec.small_size[0];
   if (ext.ny == 0) ext.ny = spec.dims >= 2 ? spec.small_size[1] : 1;
   if (ext.nz == 0) ext.nz = spec.dims >= 3 ? spec.small_size[2] : 1;
@@ -862,7 +827,6 @@ std::uint64_t request_key(std::uint64_t spec_hash, const Extents& ext,
   h = fnv1a(h, static_cast<std::uint64_t>(o.layout));
   h = fnv1a(h, static_cast<std::uint64_t>(o.halo_policy));
   h = fnv1a(h, static_cast<std::uint64_t>(o.affinity));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.pipeline));
   h = fnv1a(h, static_cast<std::uint64_t>(o.levels));
   h = fnv1a(h, o.validate ? 1u : 0u);
   return h;
@@ -952,7 +916,6 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
            e.opts.layout == opts.layout &&
            e.opts.halo_policy == opts.halo_policy &&
            e.opts.affinity == opts.affinity &&
-           e.opts.pipeline == opts.pipeline &&
            e.opts.levels == opts.levels &&
            e.opts.validate == opts.validate &&
            same_spec(e.state->spec, spec);
@@ -1022,32 +985,16 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   req.tile = opts.tile;
   req.time_block = opts.time_block;
   req.affinity = opts.affinity;
-  req.pipeline = opts.pipeline;
   req.levels = opts.levels;
   st->plan = plan_execution(req);
 
   // Build or reuse the runtime pool the tiled stages will run on (shared
-  // per (threads, affinity), workers parked between tasks), and first-touch
-  // the per-worker workspace slabs on their owners: the 3-D folded stage's
-  // sliding plane window is sized here exactly as folded3d_advance sizes
-  // it, so the first run() finds it allocated — on the right NUMA node —
-  // instead of growing it mid-stage.
-  if (st->plan.tiled && st->plan.blocked && st->plan.tile.threads > 1) {
+  // per (threads, affinity), workers parked between tasks). The per-worker
+  // workspace slabs are first-touched by the wedge schedule's own prologue
+  // (tiling/split_tiling.cpp), in the slot that already overlaps the first
+  // super-step, so prepare() pays no pool round-trip for them.
+  if (st->plan.tiled && st->plan.blocked && st->plan.tile.threads > 1)
     st->pool = shared_pool(st->plan.tile.threads, opts.affinity);
-    // Pipelined plans skip the prepare-time dispatch: the wedge schedule's
-    // per-worker prologue first-touches each arena in the slot that already
-    // overlaps the first super-step (tiling/split_tiling.cpp), so paying a
-    // full pool round-trip here would be pure duplicated latency. The
-    // barrier schedule has no prologue, so those plans still pre-size here.
-    if (spec.dims == 3 && st->kernel->method == Method::Ours2 &&
-        opts.pipeline == Pipeline::Off) {
-      const FoldingPlan fold =
-          plan_folding(spec.p3, st->kernel->fold_depth);
-      const detail::Folded3DWindowShape shape = detail::folded3d_window_shape(
-          fold, static_cast<int>(ext.nx), st->kernel->width);
-      st->pool->ensure_arena(shape.nbufs, shape.doubles);
-    }
-  }
 
   CacheEntry entry;
   entry.spec_hash = sh;

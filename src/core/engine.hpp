@@ -96,14 +96,6 @@ struct ExecOptions {
   ///< leaves workers unpinned — results are bitwise identical across
   ///< policies; placement changes locality only. When left at None the
   ///< process-wide `SF_AFFINITY` default applies.
-  Pipeline pipeline = Pipeline::Auto;
-  ///< Cross-block synchronization of the parallel wedge stages
-  ///< (tiling/split_tiling.hpp Pipeline): point-to-point neighbor sync
-  ///< (On, the default via Auto) or the historical global stage barriers
-  ///< (Off). Results are bitwise identical either way. Auto resolves the
-  ///< process-wide `SF_PIPELINE` default at prepare() time, so prepared
-  ///< handles are env-immune and the plan cache keys on the effective
-  ///< value.
   int levels = 0;
   ///< Tile-tree depth of the plan (core/execution_plan.hpp TileTree):
   ///< 1 keeps the flat one-level plan, 2/3 engage the hierarchical
@@ -263,6 +255,9 @@ class PreparedStencil {
   struct State;
   explicit PreparedStencil(std::shared_ptr<const State> st)
       : st_(std::move(st)) {}
+  /// The one body behind the three advance_batch() overloads.
+  template <class Item>
+  void advance_batch_impl(const std::vector<Item>& items, int nsteps) const;
 
   std::shared_ptr<const State> st_;
 };

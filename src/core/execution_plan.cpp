@@ -53,7 +53,6 @@ WedgeGeometry negotiate(const PlanRequest& req) {
   requested.time_block = req.time_block;
   requested.threads = req.threads;
   requested.affinity = req.affinity;
-  requested.pipeline = req.pipeline;
   const int slope = req.kernel->wedge_slope(pattern_radius(*req.spec));
   return negotiate_wedge(
       static_cast<int>(tiled_extent(*req.spec, req.nx, req.ny, req.nz)),
@@ -88,15 +87,15 @@ namespace {
 // by tiling_profitable and plan_execution so the geometry is computed
 // once and the two can never drift apart).
 bool profitable_at(const PlanRequest& req, const WedgeGeometry& g) {
-  // A time block needs at least two super-steps to amortize its two stage
-  // barriers; shorter horizons run untiled.
+  // A time block needs at least two super-steps to amortize its stage
+  // synchronization; shorter horizons run untiled.
   const int m = std::max(1, req.kernel->fold_depth);
   if (req.tsteps / m < 2) return false;
   if (!g.blocked) return false;
   const long bytes = working_set_bytes(req.nx, req.ny, req.nz);
   if (g.threads > 1) {
     // The untiled executors are serial, so parallel wedges win on anything
-    // sizable; below the floor the stage barriers eat the gain.
+    // sizable; below the floor the stage synchronization eats the gain.
     return bytes >= tile_min_bytes();
   }
   // Single-threaded split tiling is purely a cache-blocking play (Fig. 8):
@@ -210,7 +209,6 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   plan.tile.time_block = g.time_block;
   plan.tile.threads = g.threads;
   plan.tile.affinity = req.affinity;
-  plan.tile.pipeline = req.pipeline;
   // Multi-level pass before the tuner: the engaged depth is part of the
   // tune key, so tree and flat measurements of one shape never cross.
   const int levels = negotiate_tree(req, plan);

@@ -14,7 +14,7 @@
 ///  1. the selected kernel must declare an engaging tiled stage
 ///     (KernelInfo::tileable via tiled_path_engages);
 ///  2. the horizon must cover at least two folded super-steps — shorter
-///     runs never amortize a stage barrier;
+///     runs never amortize the stage synchronization;
 ///  3. the negotiated wedge geometry must actually block (disjoint wedges,
 ///     see negotiate_wedge);
 ///  4. the working set must be worth it: at least SF_TILE_MIN_BYTES when
@@ -99,10 +99,6 @@ struct PlanRequest {
   Affinity affinity = Affinity::None;  ///< Worker placement policy (the
                                        ///< Engine resolves SF_AFFINITY
                                        ///< before building the request).
-  Pipeline pipeline = Pipeline::Auto;  ///< Wedge-stage synchronization
-                                       ///< (the Engine resolves SF_PIPELINE
-                                       ///< before building the request;
-                                       ///< Auto defers to run time).
   int levels = 1;  ///< Requested tile-tree depth (1 = flat, 2 = + LLC
                    ///< mid level, 3 = + register-block leaf). The Engine
                    ///< resolves ExecOptions::levels / SF_TILE_LEVELS /

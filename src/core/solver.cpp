@@ -162,13 +162,6 @@ Solver& Solver::affinity(Affinity a) {
   return *this;
 }
 
-Solver& Solver::pipeline(Pipeline p) {
-  cfg_.pipeline = p;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
-}
-
 Solver& Solver::levels(int depth) {
   cfg_.levels = depth;
   selected_ = nullptr;
@@ -250,7 +243,6 @@ ExecOptions Solver::exec_options() const {
   o.time_block = cfg_.time_block;
   o.tsteps = cfg_.tsteps;
   o.affinity = cfg_.affinity;
-  o.pipeline = cfg_.pipeline;
   o.levels = cfg_.levels;
   return o;
 }
@@ -268,7 +260,6 @@ PlanRequest Solver::plan_request() const {
   req.tile = cfg_.tile;
   req.time_block = cfg_.time_block;
   req.affinity = cfg_.affinity;
-  req.pipeline = cfg_.pipeline;
   // The *engaged* depth of the resolved plan (plan_request requires a
   // selected kernel, so plan_ is live): re-planning from this request
   // re-derives the same tree the Engine negotiated.

@@ -139,12 +139,6 @@ class Solver {
   /// allocated first-touch: each pinned worker touches its own tiles'
   /// pages, so they land on its NUMA node.
   Solver& affinity(Affinity a);
-  /// Cross-block synchronization of the parallel wedge stages: Pipeline::On
-  /// (point-to-point neighbor sync, the default via Auto and `SF_PIPELINE`)
-  /// or Pipeline::Off (the historical global stage barriers). Results are
-  /// bitwise identical either way; Off keeps the barrier schedule
-  /// selectable for comparison benchmarks.
-  Solver& pipeline(Pipeline p);
   /// Tile-tree depth of the plan (core/execution_plan.hpp TileTree): 1 =
   /// flat (the historical plan), 2/3 = hierarchical LLC/register blocking,
   /// -1 = Auto (depth from working set vs LLC), 0 (the default) = the
@@ -172,20 +166,6 @@ class Solver {
   Solver& resident_layout(bool on = true);
   /// Seed of the deterministic random initial condition.
   Solver& seed(std::uint64_t s);
-
-  /// \deprecated Use tiling(Tiling::On) / tiling(Tiling::Off).
-  Solver& tiled(bool on = true) {
-    return tiling(on ? Tiling::On : Tiling::Off);
-  }
-  /// \deprecated Use tiling(Tiling::On) plus tile()/time_block()/threads().
-  /// The plan's method/ISA always follow the Solver-selected kernel, so
-  /// `opts.method`/`opts.isa` are ignored.
-  Solver& tiled(const TilePlan& opts) {
-    tile(opts.tile);
-    time_block(opts.time_block);
-    threads(opts.threads);
-    return tiling(Tiling::On);
-  }
 
   // ---- resolved view ----------------------------------------------------
   /// The stencil being solved.
@@ -244,7 +224,6 @@ class Solver {
     int tile = 0;
     int time_block = 0;
     Affinity affinity = Affinity::None;
-    Pipeline pipeline = Pipeline::Auto;
     int levels = 0;
     bool tune = false;
     bool resident = false;

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "telemetry/telemetry.hpp"
@@ -396,14 +395,13 @@ struct Server::Impl {
     // run uncapped, and the cap is computed *before* the current
     // observation is pushed, so one deep wakeup already runs under the
     // previous cap while widening the next round's.
-    const bool adaptive = opts.adaptive_batch && env_adaptive_batch();
     long depth_window[16];
     for (long& d : depth_window) d = opts.max_batch;
     std::size_t window_at = 0;
     int last_cap = opts.max_batch;
     // Gauge-by-delta seed: the counter's running total tracks the current
     // cap, starting at the configured max_batch.
-    if (adaptive) t_adaptive.add(last_cap);
+    t_adaptive.add(last_cap);
     for (;;) {
       {
         UniqueLock lock(bell_mu);
@@ -419,19 +417,16 @@ struct Server::Impl {
       // read and orders nothing.
       const long depth = pending.load(std::memory_order_relaxed);
       if (depth > 0 && t_queue_depth.live()) t_queue_depth.record(depth);
-      int cap = opts.max_batch;
-      if (adaptive) {
-        long peak = 0;
-        for (long d : depth_window) peak = std::max(peak, d);
-        cap = static_cast<int>(
-            std::min<long>(opts.max_batch, std::max(1L, 2 * peak)));
-        depth_window[window_at++ % 16] = depth > 0 ? depth : 0;
-        if (cap != last_cap) {
-          // Gauge-by-delta: the counter's running total tracks the current
-          // cap (may step down as well as up).
-          t_adaptive.add(cap - last_cap);
-          last_cap = cap;
-        }
+      long peak = 0;
+      for (long d : depth_window) peak = std::max(peak, d);
+      const int cap = static_cast<int>(
+          std::min<long>(opts.max_batch, std::max(1L, 2 * peak)));
+      depth_window[window_at++ % 16] = depth > 0 ? depth : 0;
+      if (cap != last_cap) {
+        // Gauge-by-delta: the counter's running total tracks the current
+        // cap (may step down as well as up).
+        t_adaptive.add(cap - last_cap);
+        last_cap = cap;
       }
       round.clear();
       while (static_cast<int>(round.size()) < cap) {

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/env.hpp"
 #include "fold/folding_plan.hpp"
 #include "grid/grid_utils.hpp"
 #include "kernels/kernels2d_impl.hpp"
@@ -41,8 +40,7 @@ struct WedgePlan {
   int threads = 1;
   int levels = 1;  // engaged tile-tree depth (TilePlan::levels)
   Affinity affinity = Affinity::None;
-  bool blocked = true;   // false: domain too small, run unblocked
-  bool pipeline = true;  // false: legacy global-barrier stage schedule
+  bool blocked = true;  // false: domain too small, run unblocked
 };
 
 /// Internal view of negotiate_wedge() with time measured in super-steps.
@@ -60,20 +58,16 @@ WedgePlan make_plan(int n, int slope, int super_steps, const TilePlan& opt,
   w.levels = std::max(1, opt.levels);
   w.affinity = opt.affinity;
   w.blocked = g.blocked;
-  w.pipeline = opt.pipeline == Pipeline::On ||
-               (opt.pipeline == Pipeline::Auto && env_pipeline());
   return w;
 }
 
 /// True when the wedge schedule will run its point-to-point pipelined path:
-/// a real pool, more than one worker, the plan asks for it, and the caller
-/// is not itself a worker of that pool (a nested pipelined task cannot run
-/// inline — worker w's waits on w+1 would never be satisfied in index
-/// order — so nested runs keep the barrier schedule, which degrades to
-/// inline serial stages safely).
-bool pipelined_schedule(const WedgePlan& w, WorkerPool* pool) {
-  return pool != nullptr && w.pipeline && pool->threads() > 1 &&
-         !pool->on_worker_thread();
+/// a real pool, more than one worker, and the caller is not itself a worker
+/// of that pool (a nested pipelined task cannot run inline — worker w's
+/// waits on w+1 would never be satisfied in index order — so nested runs
+/// take the serial walk on the calling worker).
+bool pipelined_schedule(WorkerPool* pool) {
+  return pool != nullptr && pool->threads() > 1 && !pool->on_worker_thread();
 }
 
 /// The pool of a wedge plan: the shared (threads, affinity) pool for
@@ -118,12 +112,13 @@ std::shared_ptr<WorkerPool> plan_pool(const WedgePlan& w) {
 /// call — so results are bitwise equal across tree depths and the
 /// NeighborSync protocol stays per *worker*, i.e. at the top level only.
 ///
-/// Two schedules execute that identical wedge set (bitwise-identical
-/// results; only the waiting differs):
+/// Two walks execute that identical wedge set (bitwise-identical results;
+/// only the executing threads differ):
 ///
-///  * Barrier (w.pipeline false, or serial, or nested-on-pool): stages run
-///    as pool tasks; the barrier between the up (triangles) and down
-///    (inverted triangles) stages is the pool task boundary.
+///  * Serial (no pool, or a one-worker pool, or a run nested on a worker of
+///    its own pool): the calling thread walks all tiles in order — every
+///    up wedge of a block, then every down wedge (fused per tile for tree
+///    plans). This is also the oracle the schedule fuzz compares against.
 ///
 ///  * Pipelined (pipelined_schedule()): one long-lived task per worker with
 ///    point-to-point NeighborSync counters. Worker w publishes seq = 2b+1
@@ -161,8 +156,8 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
   struct WedgeTelemetry {
     telemetry::Counter pipelined_runs =
         telemetry::counter("tiling.wedge.pipelined_runs");
-    telemetry::Counter barrier_runs =
-        telemetry::counter("tiling.wedge.barrier_runs");
+    telemetry::Counter serial_runs =
+        telemetry::counter("tiling.wedge.serial_runs");
     telemetry::Counter blocks = telemetry::counter("tiling.wedge.blocks");
     telemetry::Counter tree_runs =
         telemetry::counter("tiling.wedge.tree_runs");
@@ -192,7 +187,7 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
       adv(*bufs[(cur + sg - 1) & 1], *bufs[(cur + sg) & 1], lo, hi, wk);
     }
   };
-  if (pipelined_schedule(w, pool)) {
+  if (pipelined_schedule(pool)) {
     wt.pipelined_runs.add(1);
     wt.blocks.add(nblocks);
     telemetry::Span span("tiling.wedge.pipelined");
@@ -231,32 +226,13 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
       cursor = (cursor + std::min(w.H, super_steps - s0)) & 1;
     return cursor;
   }
-  wt.barrier_runs.add(1);
+  wt.serial_runs.add(1);
   wt.blocks.add(nblocks);
-  telemetry::Span span("tiling.wedge.barrier");
+  telemetry::Span span("tiling.wedge.serial");
   int cursor = 0;
   for (int s0 = 0; s0 < super_steps; s0 += w.H) {
     const int hb = std::min(w.H, super_steps - s0);
-    if (pool != nullptr) {
-      pool->run([&](int wk) {
-        const auto [t0, t1] = place.tiles_of(wk);
-        for (int kt = t0; kt < t1; ++kt) {
-          up_tile(kt, hb, cursor, wk);
-          // Tree walk (see the pipelined path): interior inverted wedges
-          // fuse into the up task; only down(t0) needs the stage barrier.
-          if (fused && kt > t0) down_tile(kt, hb, cursor, wk);
-        }
-      });
-      pool->run([&](int wk) {
-        const auto [t0, t1] = place.tiles_of(wk);
-        if (fused) {
-          if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cursor, wk);
-        } else {
-          for (int kt = std::max(1, t0); kt < t1; ++kt)
-            down_tile(kt, hb, cursor, wk);
-        }
-      });
-    } else if (fused) {
+    if (fused) {
       for (int kt = 0; kt < ntiles; ++kt) {
         up_tile(kt, hb, cursor, -1);
         if (kt >= 1) down_tile(kt, hb, cursor, -1);
@@ -363,13 +339,12 @@ void tl_folded_region_step_1d(const Pattern1D& p, const Pattern1D& lam,
 
 /// `serial` forces the whole run onto the calling thread (no pool
 /// dispatch): the batched entry runs each item this way on the pool worker
-/// that owns it, so nested stage parallelism (and the arena races a nested
-/// inline run() would cause for the 3-D folded window) never arises. The
-/// wedge geometry is negotiated identically either way, so serial and
-/// pooled runs are bitwise identical.
+/// that owns it, without a pool lookup per item. The wedge geometry is
+/// negotiated identically either way, so serial and pooled runs are
+/// bitwise identical.
 template <int W>
 void tiled1d_impl(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-                  const FieldView1D* k, int tsteps, const TiledOptions& opt,
+                  const FieldView1D* k, int tsteps, const TilePlan& opt,
                   bool serial = false) {
   const int n = a.n();
   const int r = p.radius();
@@ -446,7 +421,7 @@ void tiled1d_impl(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b
 /// `serial`: see tiled1d_impl().
 template <int W>
 void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-                  const TiledOptions& opt, bool serial = false) {
+                  const TilePlan& opt, bool serial = false) {
   const int ny = a.ny(), nx = a.nx();
   const int r = p.radius();
   const Method mth = opt.method;
@@ -466,7 +441,7 @@ void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b
   // itself (each worker transposes its own rows as the wedge prologue — see
   // wedge_schedule) instead of serializing it in front of the first stage.
   const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(w, pool.get());
+      tl && !resident && w.blocked && pipelined_schedule(pool.get());
   if (tl && !resident && !overlap_layout) {
     grid_transpose_layout<W>(a);
     grid_transpose_layout<W>(b);
@@ -541,7 +516,7 @@ void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b
 /// `serial`: see tiled1d_impl().
 template <int W>
 void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-                  const TiledOptions& opt, bool serial = false) {
+                  const TilePlan& opt, bool serial = false) {
   const int nz = a.nz(), ny = a.ny(), nx = a.nx();
   const int r = p.radius();
   const Method mth = opt.method;
@@ -561,7 +536,7 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
   // See tiled2d_impl: pipelined blocked runs transpose per worker inside
   // the schedule prologue instead of upfront.
   const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(w, pool.get());
+      tl && !resident && w.blocked && pipelined_schedule(pool.get());
   if (tl && !resident && !overlap_layout) {
     grid_transpose_layout<W>(a);
     grid_transpose_layout<W>(b);
@@ -581,8 +556,8 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
         break;
       case Method::Ours2: {
         // The sliding plane window lives in the owning worker's pool arena
-        // (allocated there, so its pages sit on the worker's NUMA node;
-        // Engine::prepare pre-sizes it). Off-pool callers fall back to a
+        // (allocated there by the pipelined prologue, so its pages sit on
+        // the worker's NUMA node). The serial walk (wk == -1) uses a
         // calling-thread-local window.
         thread_local std::vector<AlignedBuffer> tls_window;
         std::vector<AlignedBuffer>& window =
@@ -604,10 +579,9 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
     // Pipelined folded runs first-touch the per-worker plane window in the
     // prologue slot that already overlaps the first super-step — the same
     // down(0) transitive wait orders it, so no extra sync edge and no
-    // separate pool dispatch ahead of the run (Engine::prepare only
-    // pre-sizes arenas for barrier-mode plans).
+    // separate pool dispatch ahead of the run.
     const bool overlap_arena = mth == Method::Ours2 && pool != nullptr &&
-                               pipelined_schedule(w, pool.get());
+                               pipelined_schedule(pool.get());
     const detail::Folded3DWindowShape window_shape =
         overlap_arena ? detail::folded3d_window_shape(plan, nx, W)
                       : detail::Folded3DWindowShape{};
@@ -841,23 +815,6 @@ void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& ite
       default: tiled3d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
     }
   });
-}
-
-// Deprecated shims: one release of grace for the pre-ExecutionPlan API.
-
-void run_tiled(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-               const FieldView1D* k, int tsteps, const TiledOptions& opt) {
-  run_tile_plan(p, a, b, src, k, tsteps, opt);
-}
-
-void run_tiled(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-               const TiledOptions& opt) {
-  run_tile_plan(p, a, b, tsteps, opt);
-}
-
-void run_tiled(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-               const TiledOptions& opt) {
-  run_tile_plan(p, a, b, tsteps, opt);
 }
 
 }  // namespace sf

@@ -143,8 +143,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Tiled, ::testing::ValuesIn(make_cases()),
                          case_name);
 
 TEST(Tiled, ThreadCountInvariance) {
-  // Same bit-exact result for 1, 2 and 8 threads (stages are barriers; tiles
-  // are disjoint).
+  // Same bit-exact result for 1, 2 and 8 threads (stages are synchronized;
+  // tiles are disjoint).
   const auto& spec = preset(Preset::Box2D9);
   const int ny = 96, nx = 64, tsteps = 12;
   const int halo = require_kernel(Method::Ours2, 2).required_halo(spec.p2.radius());
@@ -217,7 +217,7 @@ TEST(Tiled, NegotiateWedgeRespectsOverridesAndBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined wedge schedule: serial == barrier == pipelined, bitwise
+// Wedge schedule: pipelined == nested-on-pool == serial, bitwise
 // ---------------------------------------------------------------------------
 
 // xorshift64: deterministic across platforms, no <random> seeding quirks.
@@ -232,28 +232,40 @@ int fz_in(std::uint64_t& s, int lo, int hi) {  // uniform-ish in [lo, hi]
                                static_cast<std::uint64_t>(hi - lo + 1));
 }
 
-/// The three TilePlans of one equivalence check. `base` carries
+/// The two TilePlans of one equivalence check. `base` carries
 /// method/tile/time_block: an *explicit* tile is required — auto geometry
 /// negotiates per thread count and the runs would legitimately differ.
-struct PlanTriple {
-  TilePlan serial, barrier, piped;
+struct PlanPair {
+  TilePlan serial, piped;
 };
-PlanTriple plan_triple(const TilePlan& base, int threads, Affinity aff) {
-  PlanTriple t;
+PlanPair plan_pair(const TilePlan& base, int threads, Affinity aff) {
+  PlanPair t;
   t.serial = base;
   t.serial.threads = 1;
   t.serial.affinity = Affinity::None;
-  t.barrier = base;
-  t.barrier.threads = threads;
-  t.barrier.affinity = aff;
-  t.barrier.pipeline = Pipeline::Off;
-  t.piped = t.barrier;
-  t.piped.pipeline = Pipeline::On;
+  t.piped = base;
+  t.piped.threads = threads;
+  t.piped.affinity = aff;
   return t;
 }
 
+/// Calls `run` — a run_tile_plan() of `plan` — from inside a task on
+/// worker 0 of the plan's own shared pool when `nested`, as a library call
+/// issued from a pool worker would: the pipelined walk cannot run nested,
+/// so the schedule must fall back to the serial walk on that worker.
+template <class Fn>
+void run_maybe_nested(bool nested, const TilePlan& plan, Fn&& run) {
+  if (!nested) {
+    run();
+    return;
+  }
+  shared_pool(std::max(1, plan.threads), plan.affinity)->run([&](int wk) {
+    if (wk == 0) run();
+  });
+}
+
 void check_equiv_1d(const StencilSpec& spec, Method m, int n, int tsteps,
-                    const PlanTriple& t, int seed) {
+                    const PlanPair& t, int seed) {
   const int radius =
       std::max(spec.p1.radius(), spec.has_source ? spec.src1.radius() : 0);
   const int halo = require_kernel(m, 1).required_halo(radius);
@@ -262,57 +274,61 @@ void check_equiv_1d(const StencilSpec& spec, Method m, int n, int tsteps,
   fill_random(k, seed + 1);
   const FieldView1D kv = k.view();
   const FieldView1D* kk = spec.has_source ? &kv : nullptr;
-  Grid1D sa(n, halo), sb(n, halo), ba(n, halo), bb(n, halo), pa(n, halo),
+  Grid1D sa(n, halo), sb(n, halo), na(n, halo), nb(n, halo), pa(n, halo),
       pb(n, halo), ra(n, halo), rb(n, halo);
-  for (Grid1D* g : {&sa, &ba, &pa, &ra}) fill_random(*g, seed);
+  for (Grid1D* g : {&sa, &na, &pa, &ra}) fill_random(*g, seed);
   copy(sa, sb);
-  copy(ba, bb);
+  copy(na, nb);
   copy(pa, pb);
   copy(ra, rb);
   run_tile_plan(spec.p1, sa, sb, src, kk, tsteps, t.serial);
-  run_tile_plan(spec.p1, ba, bb, src, kk, tsteps, t.barrier);
+  run_maybe_nested(true, t.piped, [&] {
+    run_tile_plan(spec.p1, na, nb, src, kk, tsteps, t.piped);
+  });
   run_tile_plan(spec.p1, pa, pb, src, kk, tsteps, t.piped);
-  EXPECT_EQ(max_abs_diff(ba, sa), 0.0) << "barrier vs serial";
+  EXPECT_EQ(max_abs_diff(na, sa), 0.0) << "nested vs serial";
   EXPECT_EQ(max_abs_diff(pa, sa), 0.0) << "pipelined vs serial";
   run_reference(spec.p1, ra, rb, tsteps, src, kk);
   EXPECT_LE(max_abs_diff(pa, ra), 1e-11 * std::max(1.0, max_abs(ra)));
 }
 
 void check_equiv_2d(const StencilSpec& spec, Method m, int ny, int nx,
-                    int tsteps, const PlanTriple& t, int seed) {
+                    int tsteps, const PlanPair& t, int seed) {
   const int halo = require_kernel(m, 2).required_halo(spec.p2.radius());
-  Grid2D sa(ny, nx, halo), sb(ny, nx, halo), ba(ny, nx, halo),
-      bb(ny, nx, halo), pa(ny, nx, halo), pb(ny, nx, halo), ra(ny, nx, halo),
+  Grid2D sa(ny, nx, halo), sb(ny, nx, halo), na(ny, nx, halo),
+      nb(ny, nx, halo), pa(ny, nx, halo), pb(ny, nx, halo), ra(ny, nx, halo),
       rb(ny, nx, halo);
-  for (Grid2D* g : {&sa, &ba, &pa, &ra}) fill_random(*g, seed);
+  for (Grid2D* g : {&sa, &na, &pa, &ra}) fill_random(*g, seed);
   copy(sa, sb);
-  copy(ba, bb);
+  copy(na, nb);
   copy(pa, pb);
   copy(ra, rb);
   run_tile_plan(spec.p2, sa, sb, tsteps, t.serial);
-  run_tile_plan(spec.p2, ba, bb, tsteps, t.barrier);
+  run_maybe_nested(true, t.piped,
+                   [&] { run_tile_plan(spec.p2, na, nb, tsteps, t.piped); });
   run_tile_plan(spec.p2, pa, pb, tsteps, t.piped);
-  EXPECT_EQ(max_abs_diff(ba, sa), 0.0) << "barrier vs serial";
+  EXPECT_EQ(max_abs_diff(na, sa), 0.0) << "nested vs serial";
   EXPECT_EQ(max_abs_diff(pa, sa), 0.0) << "pipelined vs serial";
   run_reference(spec.p2, ra, rb, tsteps);
   EXPECT_LE(max_abs_diff(pa, ra), 1e-11 * std::max(1.0, max_abs(ra)));
 }
 
 void check_equiv_3d(const StencilSpec& spec, Method m, int nz, int ny, int nx,
-                    int tsteps, const PlanTriple& t, int seed) {
+                    int tsteps, const PlanPair& t, int seed) {
   const int halo = require_kernel(m, 3).required_halo(spec.p3.radius());
-  Grid3D sa(nz, ny, nx, halo), sb(nz, ny, nx, halo), ba(nz, ny, nx, halo),
-      bb(nz, ny, nx, halo), pa(nz, ny, nx, halo), pb(nz, ny, nx, halo),
+  Grid3D sa(nz, ny, nx, halo), sb(nz, ny, nx, halo), na(nz, ny, nx, halo),
+      nb(nz, ny, nx, halo), pa(nz, ny, nx, halo), pb(nz, ny, nx, halo),
       ra(nz, ny, nx, halo), rb(nz, ny, nx, halo);
-  for (Grid3D* g : {&sa, &ba, &pa, &ra}) fill_random(*g, seed);
+  for (Grid3D* g : {&sa, &na, &pa, &ra}) fill_random(*g, seed);
   copy(sa, sb);
-  copy(ba, bb);
+  copy(na, nb);
   copy(pa, pb);
   copy(ra, rb);
   run_tile_plan(spec.p3, sa, sb, tsteps, t.serial);
-  run_tile_plan(spec.p3, ba, bb, tsteps, t.barrier);
+  run_maybe_nested(true, t.piped,
+                   [&] { run_tile_plan(spec.p3, na, nb, tsteps, t.piped); });
   run_tile_plan(spec.p3, pa, pb, tsteps, t.piped);
-  EXPECT_EQ(max_abs_diff(ba, sa), 0.0) << "barrier vs serial";
+  EXPECT_EQ(max_abs_diff(na, sa), 0.0) << "nested vs serial";
   EXPECT_EQ(max_abs_diff(pa, sa), 0.0) << "pipelined vs serial";
   run_reference(spec.p3, ra, rb, tsteps);
   EXPECT_LE(max_abs_diff(pa, ra), 1e-11 * std::max(1.0, max_abs(ra)));
@@ -320,7 +336,9 @@ void check_equiv_3d(const StencilSpec& spec, Method m, int nz, int ny, int nx,
 
 /// One seeded-random geometry draw + equivalence check: dims, preset,
 /// method, extents, explicit tile (possibly degenerate: single tile,
-/// ntiles < workers), time block (possibly H = 1), threads, affinity.
+/// ntiles < workers), time block (possibly H = 1), threads, affinity. Each
+/// draw runs the pipelined walk, the same plan nested on a worker of its
+/// own pool, and the serial oracle.
 void fuzz_iteration(std::uint64_t& s, int iter) {
   const int dims = 1 + iter % 3;
   static const Method methods[] = {Method::Naive, Method::DLT, Method::Ours,
@@ -330,7 +348,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
   const int time_block = fz_in(s, 0, 3) == 0 ? fz_in(s, 1, 10) : 0;
   const int threads = fz_in(s, 2, 8);
   // Tile-tree depth: >= 2 engages the fused up/down tree walk in every
-  // schedule (serial, barrier, pipelined) — bitwise-invisible by design.
+  // walk (serial, nested, pipelined) — bitwise-invisible by design.
   const int levels = fz_in(s, 1, 3);
   static const Affinity affs[] = {Affinity::None, Affinity::None,
                                   Affinity::Compact, Affinity::Scatter};
@@ -353,7 +371,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
     base.tile = fz_in(s, 8, n + 8);  // may exceed n: single-tile/unblocked
     SCOPED_TRACE(std::string(spec.name) + " n=" + std::to_string(n) +
                  " tile=" + std::to_string(base.tile));
-    check_equiv_1d(spec, m, n, tsteps, plan_triple(base, threads, aff), seed);
+    check_equiv_1d(spec, m, n, tsteps, plan_pair(base, threads, aff), seed);
   } else if (dims == 2) {
     static const Preset presets[] = {Preset::Heat2D, Preset::Box2D9,
                                      Preset::Life, Preset::GB};
@@ -363,7 +381,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
     SCOPED_TRACE(std::string(spec.name) + " ny=" + std::to_string(ny) +
                  " nx=" + std::to_string(nx) + " tile=" +
                  std::to_string(base.tile));
-    check_equiv_2d(spec, m, ny, nx, tsteps, plan_triple(base, threads, aff),
+    check_equiv_2d(spec, m, ny, nx, tsteps, plan_pair(base, threads, aff),
                    seed);
   } else {
     static const Preset presets[] = {Preset::Heat3D, Preset::Box3D27};
@@ -374,7 +392,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
     SCOPED_TRACE(std::string(spec.name) + " nz=" + std::to_string(nz) +
                  " ny=" + std::to_string(ny) + " nx=" + std::to_string(nx) +
                  " tile=" + std::to_string(base.tile));
-    check_equiv_3d(spec, m, nz, ny, nx, tsteps, plan_triple(base, threads, aff),
+    check_equiv_3d(spec, m, nz, ny, nx, tsteps, plan_pair(base, threads, aff),
                    seed);
   }
 }
@@ -385,7 +403,7 @@ TEST(TiledPipeline, FuzzQuick) {
 }
 
 // Tree depth must be execution-invisible: levels 2 and 3 walk the identical
-// wedge set with the fused up/down traversal, so every (depth, schedule,
+// wedge set with the fused up/down traversal, so every (depth, walk,
 // thread-count) combination is bitwise equal to the flat serial run — for
 // regular geometries, degenerate ones (tile > n: a single tile, i.e. a
 // one-child level at every depth), and H = 1 time blocks.
@@ -408,19 +426,20 @@ TEST(TiledTree, DepthsBitwiseIdentical1D) {
     copy(ra, rb);
     run_tile_plan(spec.p1, ra, rb, nullptr, nullptr, c.tsteps, flat);
     for (int levels : {2, 3})
-      for (Pipeline pipe : {Pipeline::Off, Pipeline::On})
+      for (bool nested : {false, true})
         for (int threads : {1, c.threads}) {
-          SCOPED_TRACE("levels=" + std::to_string(levels) + " piped=" +
-                       std::to_string(pipe == Pipeline::On) + " threads=" +
+          SCOPED_TRACE("levels=" + std::to_string(levels) + " nested=" +
+                       std::to_string(nested) + " threads=" +
                        std::to_string(threads));
           TilePlan tree = flat;
           tree.levels = levels;
           tree.threads = threads;
-          tree.pipeline = pipe;
           Grid1D ta(c.n, halo), tb(c.n, halo);
           fill_random(ta, 77);
           copy(ta, tb);
-          run_tile_plan(spec.p1, ta, tb, nullptr, nullptr, c.tsteps, tree);
+          run_maybe_nested(nested, tree, [&] {
+            run_tile_plan(spec.p1, ta, tb, nullptr, nullptr, c.tsteps, tree);
+          });
           EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
         }
   }
@@ -444,25 +463,26 @@ TEST(TiledTree, DepthsBitwiseIdentical3D) {
     copy(ra, rb);
     run_tile_plan(spec.p3, ra, rb, c.tsteps, flat);
     for (int levels : {2, 3})
-      for (Pipeline pipe : {Pipeline::Off, Pipeline::On}) {
-        SCOPED_TRACE("levels=" + std::to_string(levels) + " piped=" +
-                     std::to_string(pipe == Pipeline::On));
+      for (bool nested : {false, true}) {
+        SCOPED_TRACE("levels=" + std::to_string(levels) + " nested=" +
+                     std::to_string(nested));
         TilePlan tree = flat;
         tree.levels = levels;
         tree.threads = c.threads;
-        tree.pipeline = pipe;
         Grid3D ta(c.nz, 20, 16, halo), tb(c.nz, 20, 16, halo);
         fill_random(ta, 99);
         copy(ta, tb);
-        run_tile_plan(spec.p3, ta, tb, c.tsteps, tree);
+        run_maybe_nested(nested, tree, [&] {
+          run_tile_plan(spec.p3, ta, tb, c.tsteps, tree);
+        });
         EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
       }
   }
 }
 
 // Acceptance sweep: all nine presets at their native dimensionality,
-// pinned (compact + scatter) and unpinned — pipelined bitwise equal to the
-// barrier schedule and to the serial run.
+// pinned (compact + scatter) and unpinned — pipelined and nested runs
+// bitwise equal to the serial run.
 TEST(TiledPipeline, AllPresetsPinnedAndUnpinned) {
   for (Affinity aff :
        {Affinity::None, Affinity::Compact, Affinity::Scatter}) {
@@ -472,18 +492,18 @@ TEST(TiledPipeline, AllPresetsPinnedAndUnpinned) {
     for (Preset p : {Preset::Heat1D, Preset::P1D5, Preset::Apop}) {
       base.tile = 96;
       check_equiv_1d(preset(p), base.method, 700, 12,
-                     plan_triple(base, 4, aff), 11);
+                     plan_pair(base, 4, aff), 11);
     }
     for (Preset p :
          {Preset::Heat2D, Preset::Box2D9, Preset::Life, Preset::GB}) {
       base.tile = 20;
       check_equiv_2d(preset(p), base.method, 96, 64, 10,
-                     plan_triple(base, 4, aff), 12);
+                     plan_pair(base, 4, aff), 12);
     }
     for (Preset p : {Preset::Heat3D, Preset::Box3D27}) {
       base.tile = 10;
       check_equiv_3d(preset(p), base.method, 32, 20, 18, 8,
-                     plan_triple(base, 4, aff), 13);
+                     plan_pair(base, 4, aff), 13);
     }
   }
 }
@@ -500,7 +520,7 @@ TEST(TiledPipeline, MoreWorkersThanTilesPublishesAndCompletes) {
     base.method = Method::Ours2;
     base.tile = 48;  // ny = 96 -> 2 tiles, 8 workers: 6 empty ranges
     check_equiv_2d(preset(Preset::Heat2D), base.method, 96, 64, 12,
-                   plan_triple(base, 8, aff), 21);
+                   plan_pair(base, 8, aff), 21);
   }
 }
 
@@ -509,7 +529,7 @@ TEST(TiledPipeline, SingleTileFallsBackUnblocked) {
   base.method = Method::Ours;
   base.tile = 512;  // tile >= n: cannot block, full sweeps on every path
   check_equiv_1d(preset(Preset::Heat1D), base.method, 400, 10,
-                 plan_triple(base, 4, Affinity::None), 31);
+                 plan_pair(base, 4, Affinity::None), 31);
 }
 
 TEST(TiledPipeline, MinimalTimeBlockHEqualsOne) {
@@ -518,11 +538,11 @@ TEST(TiledPipeline, MinimalTimeBlockHEqualsOne) {
   base.time_block = 2;  // fold depth m = 2 -> H = 1: waits every super-step
   base.tile = 24;
   check_equiv_2d(preset(Preset::Box2D9), base.method, 96, 48, 9,
-                 plan_triple(base, 4, Affinity::None), 41);
+                 plan_pair(base, 4, Affinity::None), 41);
   base.method = Method::Ours;  // m = 1 -> H = 1 directly
   base.time_block = 1;
   check_equiv_2d(preset(Preset::Heat2D), base.method, 96, 48, 9,
-                 plan_triple(base, 4, Affinity::None), 42);
+                 plan_pair(base, 4, Affinity::None), 42);
 }
 
 // The long fuzz (ctest label `stress`, excluded from the default run):
@@ -534,26 +554,6 @@ TEST(TiledPipelineStress, FuzzLong) {
   ASSERT_EQ(setenv("SF_TEST_JITTER", "300", 1), 0);
   for (int iter = 90; iter < 150; ++iter) fuzz_iteration(s, iter);
   unsetenv("SF_TEST_JITTER");
-}
-
-TEST(Tiled, DeprecatedRunTiledShimStillWorks) {
-  // run_tiled must stay a pure delegate of run_tile_plan for one release.
-  const auto& spec = preset(Preset::Heat2D);
-  const int ny = 64, nx = 48, tsteps = 10;
-  const int halo =
-      require_kernel(Method::Ours2, 2).required_halo(spec.p2.radius());
-  Grid2D a(ny, nx, halo), b(ny, nx, halo), ra(ny, nx, halo), rb(ny, nx, halo);
-  fill_random(a, 5);
-  copy(a, b);
-  copy(a, ra);
-  copy(a, rb);
-  TiledOptions opt;  // deprecated alias of TilePlan
-  opt.method = Method::Ours2;
-  opt.tile = 16;
-  opt.threads = 2;
-  run_tiled(spec.p2, a, b, tsteps, opt);
-  run_tile_plan(spec.p2, ra, rb, tsteps, opt);
-  EXPECT_EQ(max_abs_diff(a, ra), 0.0);
 }
 
 }  // namespace

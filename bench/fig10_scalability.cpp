@@ -30,8 +30,13 @@ int main(int argc, char** argv) {
 
   const auto& methods = bench::paper_competitors();
 
+  // Every GFLOP/s column is followed by its "<label> iqr" column: the
+  // interquartile range over the SF_BENCH_REPS reps.
   std::vector<std::string> header{"cores", "affinity"};
-  for (const auto& m : methods) header.push_back(m.label);
+  for (const auto& m : methods) {
+    header.push_back(m.label);
+    header.push_back(std::string(m.label) + " iqr");
+  }
 
   // Machine-readable trajectory: every (stencil, method, cores) GFLOP/s
   // lands in BENCH_fig10.json alongside the CSVs (scripts/bench_summary.py
@@ -46,21 +51,20 @@ int main(int argc, char** argv) {
               << "\n";
     for (int c : cores) {
       std::vector<std::string> row{std::to_string(c), affinity_name(aff)};
-      const auto record = [&](const std::string& label, double gflops) {
-        summary.emplace_back(std::string(spec.name) + "." + label + ".c" +
-                                 std::to_string(c),
-                             gflops);
-      };
       for (const auto& m : methods) {
         if (m.isa == Isa::Avx512 && !cpu_has_avx512()) {
-          row.push_back("-");
+          row.insert(row.end(), {"-", "-"});
           continue;
         }
         Solver s = bench::competitor_solver(m, spec, full);
         s.threads(c).affinity(aff);
-        const double gflops = bench::measure(s).gflops;
-        record(m.label, gflops);
-        row.push_back(Table::num(gflops));
+        const bench::Measurement r = bench::measure(s);
+        const std::string key = std::string(spec.name) + "." + m.label +
+                                ".c" + std::to_string(c);
+        summary.emplace_back(key, r.gflops);
+        summary.emplace_back(key + ".gflops_iqr", r.gflops_iqr);
+        row.push_back(Table::num(r.gflops));
+        row.push_back(Table::num(r.gflops_iqr));
       }
       t.add_row(row);
     }

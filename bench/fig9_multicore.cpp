@@ -18,9 +18,15 @@ int main() {
   const bool full = bench_full();
   const auto& methods = bench::paper_competitors();
 
+  // Every GFLOP/s column is followed by its "<label> iqr" column: the
+  // interquartile range over the SF_BENCH_REPS reps.
   std::vector<std::string> header{"Stencil"};
-  for (const auto& m : methods) header.push_back(m.label);
+  for (const auto& m : methods) {
+    header.push_back(m.label);
+    header.push_back(std::string(m.label) + " iqr");
+  }
   header.push_back("our-2step-auto");
+  header.push_back("our-2step-auto iqr");
   header.push_back("speedup(our2/base)");
   Table t(header);
   std::cout << "Figure 9: multicore cache-blocked GFLOP/s ("
@@ -32,20 +38,28 @@ int main() {
   std::vector<std::pair<std::string, double>> summary;
   for (const auto& spec : all_presets()) {
     std::vector<std::string> row{spec.name};
+    // One GFLOP/s cell plus its IQR cell, in the table and the summary.
+    const auto record = [&](const std::string& label,
+                            const bench::Measurement& r,
+                            const std::string& note) {
+      const std::string key = std::string(spec.name) + "." + label;
+      summary.emplace_back(key + ".gflops", r.gflops);
+      summary.emplace_back(key + ".gflops_iqr", r.gflops_iqr);
+      row.push_back(Table::num(r.gflops) + note);
+      row.push_back(Table::num(r.gflops_iqr));
+    };
     double base = 0, our2 = 0;
     const bench::Competitor* our2_avx2 = nullptr;
     for (const auto& m : methods) {
       if (method_from_name(m.kernel) == Method::Ours2 && m.isa == Isa::Avx2)
         our2_avx2 = &m;
       if (m.isa == Isa::Avx512 && !cpu_has_avx512()) {
-        row.push_back("-");
+        row.insert(row.end(), {"-", "-"});
         continue;
       }
       Solver s = bench::competitor_solver(m, spec, full);
-      RunResult r = bench::measure(s);
-      summary.emplace_back(
-          std::string(spec.name) + "." + m.label + ".gflops", r.gflops);
-      row.push_back(Table::num(r.gflops));
+      const bench::Measurement r = bench::measure(s);
+      record(m.label, r, "");
       if (base == 0) base = r.gflops;  // first column (sdsl) is the base
       // The speedup column tracks the folded method at AVX-2, keyed on the
       // registry method rather than the display label.
@@ -56,13 +70,10 @@ int main() {
     if (our2_avx2 != nullptr) {
       Solver s =
           bench::competitor_solver(*our2_avx2, spec, full, Tiling::Auto);
-      RunResult r = bench::measure(s);
-      summary.emplace_back(
-          std::string(spec.name) + ".our-2step-auto.gflops", r.gflops);
-      row.push_back(Table::num(r.gflops) +
-                    (s.plan().tiled ? ":tiled" : ":untiled"));
+      record("our-2step-auto", bench::measure(s),
+             s.plan().tiled ? ":tiled" : ":untiled");
     } else {
-      row.push_back("-");
+      row.insert(row.end(), {"-", "-"});
     }
     row.push_back(Table::num(our2 / base) + "x");
     t.add_row(row);

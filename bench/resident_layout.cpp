@@ -1,11 +1,11 @@
 // Transposed-resident prepared execution vs the per-call involution on
-// short advance() streams — the scenario the resident-layout API targets.
+// short run() streams — the scenario the resident-layout API targets.
 //
 // The register-transpose kernels (Method::Ours) historically transformed
 // both ping-pong buffers into the transpose layout on entry and back on
 // exit of *every* run() call. For a long horizon that cost amortizes; for a
-// streaming caller issuing many short advance() calls it dominates. This
-// bench prepares one handle per mode and times a stream of advance(steps)
+// streaming caller issuing many short run() calls it dominates. This
+// bench prepares one handle per mode and times a stream of run(steps)
 // calls over the same problem:
 //
 //   per-call  — natural-layout views; the kernel pays 4 full-grid
@@ -34,7 +34,7 @@ struct StreamResult {
   double gflops = 0;
 };
 
-/// Times `calls` advance(steps) calls through `ps` on fresh grids of the
+/// Times `calls` run(steps) calls through `ps` on fresh grids of the
 /// prepared shape, in the given mode. Dimension-generic over Grid type.
 template <class Grid, class MakeGrid>
 StreamResult time_stream(const PreparedStencil& ps, MakeGrid make, int calls,
@@ -51,7 +51,7 @@ StreamResult time_stream(const PreparedStencil& ps, MakeGrid make, int calls,
     av = to_resident_layout(ps, av);
     bv = to_resident_layout(ps, bv);
   }
-  for (int c = 0; c < calls; ++c) ps.advance(av, bv, steps);
+  for (int c = 0; c < calls; ++c) ps.run(av, bv, steps);
   if (resident) {
     av = to_natural_layout(ps, av);
     bv = to_natural_layout(ps, bv);
@@ -123,9 +123,9 @@ int main() {
 
   Table t({"Stencil", "dims", "stream", "per-call GF/s", "resident GF/s",
            "resident+clean GF/s", "resident/x", "clean/x"});
-  std::cout << "Resident-layout advance() streams: transposed-resident "
+  std::cout << "Resident-layout run() streams: transposed-resident "
                "execution vs per-call involution (method=ours, untiled, "
-            << calls << " advance(" << steps << ") calls)\n";
+            << calls << " run(" << steps << ") calls)\n";
   for (Preset p : {Preset::Heat1D, Preset::P1D5, Preset::Heat2D,
                    Preset::Box2D9, Preset::Life, Preset::GB, Preset::Heat3D,
                    Preset::Box3D27}) {

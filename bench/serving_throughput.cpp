@@ -7,7 +7,7 @@
 // synthetic clients against three configurations of the same Heat2D 64x64 /
 // 8-step request:
 //
-//   direct   — no serving layer: every client calls advance() itself
+//   direct   — no serving layer: every client calls run() itself
 //              (concurrent calls serialize on the shared pool's dispatch).
 //   serve-1  — sf::Server with max_batch = 1: the serving layer's queueing
 //              without its batching (the one-at-a-time straw man).
@@ -171,7 +171,7 @@ void sweep() {
     add("direct", nclients,
         run_clients(nclients, reqs, [&](int c, long) {
           Timer timer;
-          ps.advance(as[c].view(), bs[c].view(), kSteps);
+          ps.run(as[c].view(), bs[c].view(), kSteps);
           do_not_optimize(as[c].data());
           return timer.seconds();
         }));

@@ -71,8 +71,11 @@ def to_float(cell):
 
 def numeric_columns(header, rows):
     """Yields (label, values) for every column after the first that has at
-    least one numeric value; values align with the first column."""
+    least one numeric value; values align with the first column. The
+    "<label> iqr" spread columns next to GFLOP/s cells are not series."""
     for c in range(1, len(header)):
+        if header[c].endswith(" iqr"):
+            continue
         vals = [to_float(r[c]) if c < len(r) else None for r in rows]
         if any(v is not None for v in vals):
             yield header[c], vals

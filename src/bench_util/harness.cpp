@@ -11,13 +11,21 @@
 
 namespace sf::bench {
 
-RunResult measure(Solver& solver) {
+Measurement measure(Solver& solver) {
   const long reps = env_long("SF_BENCH_REPS", bench_full() ? 1 : 5);
   std::vector<RunResult> rs;
   for (long i = 0; i < std::max(1L, reps); ++i) rs.push_back(solver.run());
   std::sort(rs.begin(), rs.end(),
             [](const RunResult& a, const RunResult& b) { return a.seconds < b.seconds; });
-  return rs[rs.size() / 2];
+  Measurement m;
+  static_cast<RunResult&>(m) = rs[rs.size() / 2];
+  // Quartile reps (outer nearest ranks) of the seconds-sorted list; every
+  // rep does the same flops, so GFLOP/s runs in the opposite order.
+  const RunResult& q1 = rs[(rs.size() - 1) / 4];
+  const RunResult& q3 = rs[(3 * rs.size() - 1) / 4];
+  m.seconds_iqr = q3.seconds - q1.seconds;
+  m.gflops_iqr = q1.gflops - q3.gflops;
+  return m;
 }
 
 std::vector<const KernelInfo*> method_axis(int dims, bool skip_naive) {

@@ -11,9 +11,16 @@
 
 namespace sf::bench {
 
+/// A median-of-reps measurement: the median-time rep plus the spread of
+/// the reps around it.
+struct Measurement : RunResult {
+  double seconds_iqr = 0;  ///< Interquartile range of seconds over the reps.
+  double gflops_iqr = 0;   ///< Interquartile range of GFLOP/s over the reps.
+};
+
 /// Median-of-reps measurement of one configuration (reps from SF_BENCH_REPS,
-/// default 5 fast / 1 full).
-RunResult measure(Solver& solver);
+/// default 5 fast / 1 full); the IQRs are 0 for a single rep.
+Measurement measure(Solver& solver);
 
 /// The method axis the figures sweep: one kernel per method at the widest
 /// CPU-supported ISA, enumerated from the registry (registering a new

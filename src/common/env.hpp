@@ -30,8 +30,8 @@
 ///    of the runtime's WorkerPool when ExecOptions::affinity is left at
 ///    Affinity::None (runtime/topology.hpp env_affinity()).
 ///  * `SF_VALIDATE=0`     — debug-only toggle that skips the per-call
-///    FieldView validation in PreparedStencil::run()/advance() (combined
-///    with HaloPolicy::Clean this makes a streaming advance() pure kernel
+///    FieldView validation in PreparedStencil::run() (combined
+///    with HaloPolicy::Clean this makes a streaming run() pure kernel
 ///    dispatch). Any other value — including unset — keeps validation on.
 ///  * `SF_POOL_CACHE=n`   — max (threads, affinity) configurations the
 ///    shared_pool() registry keeps cached (default 8, floor 1). Acquiring

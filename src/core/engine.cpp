@@ -1,8 +1,10 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -12,7 +14,7 @@
 #include "common/env.hpp"
 #include "core/tuner.hpp"
 #include "fold/cost_model.hpp"
-#include "grid/grid_utils.hpp"
+#include "grid/view_traits.hpp"
 #include "layout/transpose_layout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiling/split_tiling.hpp"
@@ -24,38 +26,16 @@ namespace sf {
 // ---------------------------------------------------------------------------
 
 double flops_per_step(const StencilSpec& spec, long nx, long ny, long nz) {
-  double pts = static_cast<double>(nx);
-  long f = 0;
-  switch (spec.dims) {
-    case 1:
-      f = spec.p1.flops_per_point();
-      if (spec.has_source) f += 2 * static_cast<long>(spec.src1.size());
-      break;
-    case 2:
-      pts *= static_cast<double>(ny);
-      f = spec.p2.flops_per_point();
-      break;
-    case 3:
-      pts *= static_cast<double>(ny) * static_cast<double>(nz);
-      f = spec.p3.flops_per_point();
-      break;
-    default:
-      throw std::logic_error("bad dims");
-  }
-  return pts * static_cast<double>(f);
+  return dispatch_dims(spec.dims, [&](auto dc) {
+    constexpr int D = decltype(dc)::value;
+    const long n[3] = {nx, ny, nz};
+    double pts = 1;
+    for (int d = 0; d < D; ++d) pts *= static_cast<double>(n[d]);
+    long f = pattern_of<D>(spec).flops_per_point();
+    if (spec.has_source) f += 2 * static_cast<long>(spec.src1.size());
+    return pts * static_cast<double>(f);
+  });
 }
-
-namespace {
-
-bool fold_profitable(const StencilSpec& s, int m) {
-  switch (s.dims) {
-    case 1: return profitability(s.p1, m).index_vec() > 1.0;
-    case 2: return profitability(s.p2, m).index_vec() > 1.0;
-    default: return profitability(s.p3, m).index_vec() > 1.0;
-  }
-}
-
-}  // namespace
 
 Method auto_method(const StencilSpec& spec, Isa isa) {
   const int r = effective_radius(spec);
@@ -65,7 +45,11 @@ Method auto_method(const StencilSpec& spec, Isa isa) {
   // ours > dlt > data-reorg > multiple-loads > naive.
   const KernelInfo* folded = find_kernel(Method::Ours2, spec.dims, isa);
   if (folded != nullptr && folded->supports(r) &&
-      fold_profitable(spec, folded->fold_depth))
+      dispatch_dims(spec.dims, [&](auto dc) {
+        return profitability(pattern_of<decltype(dc)::value>(spec),
+                             folded->fold_depth)
+                   .index_vec() > 1.0;
+      }))
     return Method::Ours2;
   for (Method m : {Method::Ours, Method::DLT, Method::DataReorg,
                    Method::MultipleLoads}) {
@@ -136,10 +120,11 @@ bool aligned64(const double* p) {
 // provided their recorded layout width matches the prepared kernel's (the
 // transforms permute differently per SIMD width, so a W=4-resident buffer
 // handed to a W=8 kernel would be silently misread, never detectably).
-void check_common(const char* which, bool valid, Layout layout,
-                  int layout_width, int halo, int need_halo,
-                  const double* data, Layout accept, int want_width) {
-  if (!valid) bad_view(which, "is empty (default-constructed)");
+template <class View>
+void check_common(const char* which, const View& v, int need_halo,
+                  Layout accept, int want_width) {
+  if (!v.valid()) bad_view(which, "is empty (default-constructed)");
+  const Layout layout = v.layout();
   if (layout != Layout::Natural && layout != accept)
     bad_view(which,
              std::string("is tagged ") + layout_name(layout) +
@@ -151,22 +136,22 @@ void check_common(const char* which, bool valid, Layout layout,
                                     "execution)")
                       : std::string("natural or ") + layout_name(accept) +
                             " views (transform via to_resident_layout)"));
-  if (layout != Layout::Natural && layout_width != want_width) {
+  if (layout != Layout::Natural && v.layout_width() != want_width) {
     std::ostringstream os;
     os << "is tagged " << layout_name(layout) << " for SIMD width "
-       << layout_width << " but the prepared kernel reads width "
+       << v.layout_width() << " but the prepared kernel reads width "
        << want_width
        << "; transform via to_resident_layout on this handle (hand-tagged "
           "views must record the width: with_layout(layout, width))";
     bad_view(which, os.str());
   }
-  if (halo < need_halo) {
+  if (v.halo() < need_halo) {
     std::ostringstream os;
-    os << "has halo " << halo << " but the prepared kernel requires >= "
+    os << "has halo " << v.halo() << " but the prepared kernel requires >= "
        << need_halo;
     bad_view(which, os.str());
   }
-  if (!aligned64(data))
+  if (!aligned64(v.data()))
     bad_view(which, "interior is not 64-byte aligned (allocate via Grid or "
                     "an aligned allocator)");
 }
@@ -180,6 +165,37 @@ void check_same_layout(Layout a, Layout b) {
                       "; ping-pong buffers must share one layout");
 }
 
+// Extents against the prepared ones (x first), then the stride of every
+// outer axis: a multiple of 8 doubles, so each row/plane starts 64-byte
+// aligned, and at least the haloed extent of the axis below it, so
+// consecutive rows/planes never alias.
+template <class View>
+void check_shape(const char* which, const View& v, const long* want) {
+  using T = ViewTraits<View>;
+  const auto n = T::extents(v);
+  const auto s = T::strides(v);
+  for (int d = 0; d < T::dims; ++d) {
+    if (n[d] == want[d]) continue;
+    std::ostringstream os;
+    os << "has " << T::axis[d] << " = " << n[d] << " but was prepared for "
+       << want[d];
+    bad_view(which, os.str());
+  }
+  static constexpr const char* kStride[3] = {"", "row", "plane"};
+  for (int d = 1; d < T::dims; ++d) {
+    const std::ptrdiff_t need = s[d - 1] * (n[d - 1] + 2L * v.halo());
+    if (s[d] % 8 == 0 && s[d] >= need) continue;
+    std::ostringstream os;
+    os << "has " << kStride[d] << " stride " << s[d];
+    if (s[d] % 8 != 0)
+      os << ", which is not a multiple of 8 doubles";
+    else
+      os << " < " << need << " (the haloed extent below it); consecutive "
+         << kStride[d] << "s would alias";
+    bad_view(which, os.str());
+  }
+}
+
 // Addressable span of a view, as [lo, hi) byte-order addresses. Pointer
 // order across distinct allocations is compared via uintptr_t, which every
 // supported platform orders consistently.
@@ -187,25 +203,19 @@ struct Span {
   std::uintptr_t lo, hi;
 };
 
-Span span_of(const FieldView1D& v) {
-  const double* lo = v.data() - v.halo();
-  return {reinterpret_cast<std::uintptr_t>(lo),
-          reinterpret_cast<std::uintptr_t>(v.data() + v.n() + v.halo())};
-}
-
-Span span_of(const FieldView2D& v) {
-  const double* lo = v.row(-v.halo()) - v.halo();
-  const double* hi = v.row(v.ny() + v.halo() - 1) + v.nx() + v.halo();
-  return {reinterpret_cast<std::uintptr_t>(lo),
-          reinterpret_cast<std::uintptr_t>(hi)};
-}
-
-Span span_of(const FieldView3D& v) {
-  const double* lo = v.row(-v.halo(), -v.halo()) - v.halo();
-  const double* hi = v.row(v.nz() + v.halo() - 1, v.ny() + v.halo() - 1) +
-                     v.nx() + v.halo();
-  return {reinterpret_cast<std::uintptr_t>(lo),
-          reinterpret_cast<std::uintptr_t>(hi)};
+template <class View>
+Span span_of(const View& v) {
+  const auto n = ViewTraits<View>::extents(v);
+  const auto s = ViewTraits<View>::strides(v);
+  const std::ptrdiff_t h = v.halo();
+  std::ptrdiff_t lo = 0, hi = 1;  // in doubles, relative to the interior
+  for (int d = 0; d < ViewTraits<View>::dims; ++d) {
+    lo -= h * s[d];
+    hi += (n[d] + h - 1) * s[d];
+  }
+  const auto base = reinterpret_cast<std::uintptr_t>(v.data());
+  return {base + static_cast<std::uintptr_t>(lo) * sizeof(double),
+          base + static_cast<std::uintptr_t>(hi) * sizeof(double)};
 }
 
 template <class View>
@@ -217,61 +227,62 @@ void check_disjoint(const char* which, const View& v, const char* other_name,
                         "'; executors need disjoint buffers");
 }
 
-void check_extent(const char* which, const char* axis, long have, long want) {
-  if (have != want) {
-    std::ostringstream os;
-    os << "has " << axis << " = " << have << " but was prepared for "
-       << want;
-    bad_view(which, os.str());
-  }
+// The Dirichlet halo is input state on *both* ping-pong buffers (kernels
+// read whichever buffer holds the current parity), so run() mirrors a's
+// halo ring into b before executing. Interior cells are not touched —
+// that is the zero-copy contract. The copy is positional, so it is valid
+// in any resident layout as long as both buffers share one (validated):
+// permute-then-copy and copy-then-permute produce identical bytes.
+// O(surface), not O(volume): only the halo shell is copied — rows fully
+// inside the halo slabs in full, interior rows just their x rims.
+template <class View>
+void sync_halo(const View& a, const View& b) {
+  const int h = std::min(a.halo(), b.halo());
+  const int nx = ViewTraits<View>::extents(a)[0];
+  for_each_row(a, h, -h, tiled_extent(a) + h,
+               [&](const auto& i, int x0, int x1, bool shell) {
+                 const double* s = row_at(a, i);
+                 double* d = row_at(b, i);
+                 if (shell) {
+                   for (int x = x0; x < x1; ++x) d[x] = s[x];
+                 } else {
+                   for (int x = x0; x < 0; ++x) d[x] = s[x];
+                   for (int x = nx; x < x1; ++x) d[x] = s[x];
+                 }
+               });
 }
 
-void check_stride(const char* which, int stride, int nx, int halo) {
-  if (stride % 8 != 0) {
-    std::ostringstream os;
-    os << "has row stride " << stride
-       << ", which is not a multiple of 8 doubles";
-    bad_view(which, os.str());
-  }
-  if (stride < nx + 2 * halo) {
-    std::ostringstream os;
-    os << "has row stride " << stride
-       << " < nx + 2*halo = " << nx + 2 * halo
-       << "; consecutive rows would alias";
-    bad_view(which, os.str());
-  }
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Execution
+// ---------------------------------------------------------------------------
+
+const PreparedStencil::State& PreparedStencil::state(int dims,
+                                                     const char* fn) const {
+  if (st_ == nullptr)
+    throw std::invalid_argument(std::string("PreparedStencil::") + fn +
+                                " on an empty handle");
+  if (st_->spec.dims != dims)
+    throw std::invalid_argument(std::to_string(dims) + "-D " + fn +
+                                "() on a stencil prepared for " +
+                                std::to_string(st_->spec.dims) + "-D");
+  return *st_;
 }
 
-void check_plane_stride(const char* which, std::size_t plane, int stride,
-                        int ny, int halo) {
-  const std::size_t need =
-      static_cast<std::size_t>(stride) * (ny + 2 * halo);
-  if (plane % 8 != 0) {
-    std::ostringstream os;
-    os << "has plane stride " << plane
-       << ", which is not a multiple of 8 doubles";
-    bad_view(which, os.str());
-  }
-  if (plane < need) {
-    std::ostringstream os;
-    os << "has plane stride " << plane << " < stride * (ny + 2*halo) = "
-       << need << "; consecutive planes would alias";
-    bad_view(which, os.str());
-  }
-}
-
-void validate(bool has_source, int need_halo, long nx, const FieldView1D& a,
-              const FieldView1D& b, const FieldView1D* k, Layout accept,
-              int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
+template <class View>
+void PreparedStencil::validate_views(const View& a, const View& b,
+                                     const View* k) const {
+  const State& st = state(ViewTraits<View>::dims, "validate_views");
+  const long want[3] = {st.nx, st.ny, st.nz};
+  const int w = st.kernel->width;
+  check_common("a", a, st.halo, st.accept, w);
+  check_common("b", b, st.halo, st.accept, w);
   check_same_layout(a.layout(), b.layout());
-  check_extent("a", "n", a.n(), nx);
-  check_extent("b", "n", b.n(), nx);
+  check_shape("a", a, want);
+  check_shape("b", b, want);
   check_disjoint("b", b, "a", a);
-  if (has_source) {
+  if (st.spec.has_source) {
     if (k == nullptr)
       throw std::invalid_argument(
           "PreparedStencil::run: this stencil has a source term; use the "
@@ -279,9 +290,8 @@ void validate(bool has_source, int need_halo, long nx, const FieldView1D& a,
     // The source array's layout is independent of the pair's: a
     // natural-tagged k is copied+transformed per call, a resident-tagged
     // one is read zero-copy.
-    check_common("k", k->valid(), k->layout(), k->layout_width(), k->halo(),
-                 need_halo, k->data(), accept, want_width);
-    check_extent("k", "n", k->n(), nx);
+    check_common("k", *k, st.halo, st.accept, w);
+    check_shape("k", *k, want);
     check_disjoint("k", *k, "a", a);
     check_disjoint("k", *k, "b", b);
   } else if (k != nullptr) {
@@ -291,261 +301,64 @@ void validate(bool has_source, int need_halo, long nx, const FieldView1D& a,
   }
 }
 
-void validate(int need_halo, long nx, long ny, const FieldView2D& a,
-              const FieldView2D& b, Layout accept, int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
-  check_same_layout(a.layout(), b.layout());
-  check_extent("a", "nx", a.nx(), nx);
-  check_extent("a", "ny", a.ny(), ny);
-  check_extent("b", "nx", b.nx(), nx);
-  check_extent("b", "ny", b.ny(), ny);
-  check_stride("a", a.stride(), a.nx(), a.halo());
-  check_stride("b", b.stride(), b.nx(), b.halo());
-  check_disjoint("b", b, "a", a);
+template <class View>
+void PreparedStencil::run_impl(const View& a, const View& b, const View* k,
+                               int tsteps) const {
+  constexpr int D = ViewTraits<View>::dims;
+  const State& st = state(D, "run");
+  if (st.validate) validate_views(a, b, k);
+  if (st.halo_policy == HaloPolicy::Sync) sync_halo(a, b);
+  const auto& p = pattern_of<D>(st.spec);
+  const Pattern1D* src = st.spec.has_source ? &st.spec.src1 : nullptr;
+  if (st.plan.tiled)
+    run_tile_plan(p, a, b, src, k, tsteps, st.plan.tile);
+  else
+    ViewTraits<View>::run(*st.kernel, p, a, b, src, k, tsteps);
 }
-
-void validate(int need_halo, long nx, long ny, long nz, const FieldView3D& a,
-              const FieldView3D& b, Layout accept, int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
-  check_same_layout(a.layout(), b.layout());
-  check_extent("a", "nx", a.nx(), nx);
-  check_extent("a", "ny", a.ny(), ny);
-  check_extent("a", "nz", a.nz(), nz);
-  check_extent("b", "nx", b.nx(), nx);
-  check_extent("b", "ny", b.ny(), ny);
-  check_extent("b", "nz", b.nz(), nz);
-  check_stride("a", a.stride(), a.nx(), a.halo());
-  check_stride("b", b.stride(), b.nx(), b.halo());
-  check_plane_stride("a", a.plane_stride(), a.stride(), a.ny(), a.halo());
-  check_plane_stride("b", b.plane_stride(), b.stride(), b.ny(), b.halo());
-  check_disjoint("b", b, "a", a);
-}
-
-// The Dirichlet halo is input state on *both* ping-pong buffers (kernels
-// read whichever buffer holds the current parity), so run() mirrors a's
-// halo ring into b before executing. Interior cells are not touched —
-// that is the zero-copy contract. The copy is positional, so it is valid
-// in any resident layout as long as both buffers share one (validated):
-// permute-then-copy and copy-then-permute produce identical bytes.
-void sync_halo(const FieldView1D& a, const FieldView1D& b) {
-  const int h = std::min(a.halo(), b.halo());
-  for (int i = -h; i < 0; ++i) b.at(i) = a.at(i);
-  for (int i = a.n(); i < a.n() + h; ++i) b.at(i) = a.at(i);
-}
-
-// O(surface), not O(volume): only the halo shell is copied — rows fully
-// inside the halo slabs in full, interior rows just their x rims.
-void sync_row_halo(const double* s, double* d, int nx, int h, bool full) {
-  if (full) {
-    for (int x = -h; x < nx + h; ++x) d[x] = s[x];
-  } else {
-    for (int x = -h; x < 0; ++x) d[x] = s[x];
-    for (int x = nx; x < nx + h; ++x) d[x] = s[x];
-  }
-}
-
-void sync_halo(const FieldView2D& a, const FieldView2D& b) {
-  const int h = std::min(a.halo(), b.halo());
-  for (int y = -h; y < a.ny() + h; ++y)
-    sync_row_halo(a.row(y), b.row(y), a.nx(), h, y < 0 || y >= a.ny());
-}
-
-void sync_halo(const FieldView3D& a, const FieldView3D& b) {
-  const int h = std::min(a.halo(), b.halo());
-  for (int z = -h; z < a.nz() + h; ++z) {
-    const bool halo_plane = z < 0 || z >= a.nz();
-    for (int y = -h; y < a.ny() + h; ++y)
-      sync_row_halo(a.row(z, y), b.row(z, y), a.nx(), h,
-                    halo_plane || y < 0 || y >= a.ny());
-  }
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Execution
-// ---------------------------------------------------------------------------
 
 void PreparedStencil::run(FieldView1D a, FieldView1D b, int tsteps) const {
-  run(a, b, FieldView1D{}, tsteps);
+  run_impl<FieldView1D>(a, b, nullptr, tsteps);
 }
-
 void PreparedStencil::run(FieldView1D a, FieldView1D b, FieldView1D k,
                           int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument("1-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  const FieldView1D* kk = k.valid() ? &k : nullptr;
-  if (st_->validate)
-    validate(st_->spec.has_source, st_->halo, st_->nx, a, b, kk, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p1, a, b, src, kk, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run1(st_->spec.p1, a, b, src, kk, tsteps);
+  run_impl(a, b, k.valid() ? &k : nullptr, tsteps);
 }
-
 void PreparedStencil::run(FieldView2D a, FieldView2D b, int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument("2-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  if (st_->validate)
-    validate(st_->halo, st_->nx, st_->ny, a, b, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p2, a, b, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run2(st_->spec.p2, a, b, tsteps);
+  run_impl<FieldView2D>(a, b, nullptr, tsteps);
 }
-
 void PreparedStencil::run(FieldView3D a, FieldView3D b, int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument("3-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  if (st_->validate)
-    validate(st_->halo, st_->nx, st_->ny, st_->nz, a, b, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p3, a, b, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run3(st_->spec.p3, a, b, tsteps);
+  run_impl<FieldView3D>(a, b, nullptr, tsteps);
 }
 
-void PreparedStencil::advance(FieldView1D a, FieldView1D b,
-                              int nsteps) const {
-  run(a, b, nsteps);
-}
-void PreparedStencil::advance(FieldView1D a, FieldView1D b, FieldView1D k,
-                              int nsteps) const {
-  run(a, b, k, nsteps);
-}
-void PreparedStencil::advance(FieldView2D a, FieldView2D b,
-                              int nsteps) const {
-  run(a, b, nsteps);
-}
-void PreparedStencil::advance(FieldView3D a, FieldView3D b,
-                              int nsteps) const {
-  run(a, b, nsteps);
-}
-
-void PreparedStencil::validate_views(FieldView1D a, FieldView1D b,
-                                     const FieldView1D* k) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument(
-        "1-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->spec.has_source, st_->halo, st_->nx, a, b, k, st_->accept,
-           st_->kernel->width);
-}
-
-void PreparedStencil::validate_views(FieldView2D a, FieldView2D b) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument(
-        "2-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->halo, st_->nx, st_->ny, a, b, st_->accept,
-           st_->kernel->width);
-}
-
-void PreparedStencil::validate_views(FieldView3D a, FieldView3D b) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument(
-        "3-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->halo, st_->nx, st_->ny, st_->nz, a, b, st_->accept,
-           st_->kernel->width);
-}
-
-template <class Item>
-void PreparedStencil::advance_batch_impl(const std::vector<Item>& items,
-                                         int nsteps) const {
-  constexpr int D = std::is_same_v<Item, TileBatch1D>   ? 1
-                    : std::is_same_v<Item, TileBatch2D> ? 2
-                                                        : 3;
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != D)
-    throw std::invalid_argument(
-        std::to_string(D) + "-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
+template <class View>
+void PreparedStencil::advance_batch(const std::vector<TileBatch<View>>& items,
+                                    int nsteps) const {
+  constexpr int D = ViewTraits<View>::dims;
+  const State& st = state(D, "advance_batch");
   if (items.empty()) return;
-  for (const Item& it : items) {
-    if (st_->validate) {
-      if constexpr (D == 1)
-        validate_views(it.a, it.b, it.k);
-      else
-        validate_views(it.a, it.b);
-    }
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
+  for (const TileBatch<View>& it : items) {
+    if (st.validate) validate_views(it.a, it.b, it.k);
+    if (st.halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
   }
-  const StencilSpec& spec = st_->spec;
-  const Pattern1D* src = spec.has_source ? &spec.src1 : nullptr;
-  if (st_->plan.tiled) {
-    if constexpr (D == 1)
-      run_tile_plan_batch(spec.p1, items, src, nsteps, st_->plan.tile);
-    else if constexpr (D == 2)
-      run_tile_plan_batch(spec.p2, items, nsteps, st_->plan.tile);
-    else
-      run_tile_plan_batch(spec.p3, items, nsteps, st_->plan.tile);
+  const auto& p = pattern_of<D>(st.spec);
+  const Pattern1D* src = st.spec.has_source ? &st.spec.src1 : nullptr;
+  if (st.plan.tiled) {
+    run_tile_plan_batch(p, items, src, nsteps, st.plan.tile);
     return;
   }
-  const auto run_item = [&](const Item& it) {
-    if constexpr (D == 1)
-      st_->kernel->run1(spec.p1, it.a, it.b, src, it.k, nsteps);
-    else if constexpr (D == 2)
-      st_->kernel->run2(spec.p2, it.a, it.b, nsteps);
-    else
-      st_->kernel->run3(spec.p3, it.a, it.b, nsteps);
+  const auto run_item = [&](const TileBatch<View>& it) {
+    ViewTraits<View>::run(*st.kernel, p, it.a, it.b, src, it.k, nsteps);
   };
   // Untiled plan: the batch *is* the parallelism — fan the independent
   // per-item kernel runs over the shared pool in one dispatch.
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
+  if (items.size() > 1 && st.threads != 1) {
+    shared_pool(st.threads, st.affinity)
         ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
           run_item(items[static_cast<std::size_t>(i)]);
         });
   } else {
-    for (const Item& it : items) run_item(it);
+    for (const TileBatch<View>& it : items) run_item(it);
   }
-}
-
-void PreparedStencil::advance_batch(const std::vector<TileBatch1D>& items,
-                                    int nsteps) const {
-  advance_batch_impl(items, nsteps);
-}
-void PreparedStencil::advance_batch(const std::vector<TileBatch2D>& items,
-                                    int nsteps) const {
-  advance_batch_impl(items, nsteps);
-}
-void PreparedStencil::advance_batch(const std::vector<TileBatch3D>& items,
-                                    int nsteps) const {
-  advance_batch_impl(items, nsteps);
 }
 
 // ---------------------------------------------------------------------------
@@ -555,27 +368,29 @@ void PreparedStencil::advance_batch(const std::vector<TileBatch3D>& items,
 namespace {
 
 // Drives `fn(lo, hi)` over the tiled dimension's logical range
-// [-halo, n_tiled + halo) either per placement — each owning worker
+// [-halo, n_tiled + halo) of `v` either per placement — each owning worker
 // handling exactly its tile rows/planes (plus the domain-end halo slabs
-// abutting its tiles) — or serially on the calling thread when the plan has
-// no pool or the view's tiled extent is not the prepared one.
+// abutting its tiles) — or serially on the calling thread when `pool` is
+// null or the view's tiled extent is not the one `ps` was prepared for.
 // `pinned_only` additionally forces the serial path for unpinned
 // (Affinity::None) pools: first-touch zeroing gains nothing from floating
 // workers (pages would land on whatever node the OS scheduled them),
 // whereas compute-bound callers (the pool-parallel layout transform) want
 // the parallelism either way.
-template <class Fn>
-void split_over_placement(const ExecutionPlan& plan, WorkerPool* pool,
-                          long n_tiled, long prepared_n, int halo,
-                          bool pinned_only, Fn&& fn) {
-  const PlacementPlan& place = plan.placement;
+template <class View, class Fn>
+void split_over_placement(const PreparedStencil& ps, WorkerPool* pool,
+                          const View& v, bool pinned_only, Fn&& fn) {
+  const PlacementPlan& place = ps.plan().placement;
+  const long prepared[3] = {ps.nx(), ps.ny(), ps.nz()};
+  const long n_tiled = tiled_extent(v);
+  const int halo = v.halo();
   if (pool == nullptr || place.workers == 0 ||
       (pinned_only && place.affinity == Affinity::None) ||
-      n_tiled != prepared_n) {
+      n_tiled != prepared[ViewTraits<View>::dims - 1]) {
     fn(-halo, n_tiled + halo);
     return;
   }
-  const int tile = plan.tile.tile;
+  const int tile = ps.plan().tile.tile;
   pool->run([&](int w) {
     const auto [t0, t1] = place.tiles_of(w);
     if (t0 >= t1) return;
@@ -589,55 +404,40 @@ void split_over_placement(const ExecutionPlan& plan, WorkerPool* pool,
   });
 }
 
-template <class Zero>
-void first_touch_split(const ExecutionPlan& plan, WorkerPool* pool,
-                       long n_tiled, long prepared_n, int halo, Zero&& zero) {
-  split_over_placement(plan, pool, n_tiled, prepared_n, halo,
-                       /*pinned_only=*/true, std::forward<Zero>(zero));
-}
-
 }  // namespace
 
-void PreparedStencil::first_touch(FieldView1D v) const {
+template <class View>
+void PreparedStencil::first_touch(const View& v) const {
   if (st_ == nullptr)
     throw std::invalid_argument("PreparedStencil::first_touch on an empty handle");
-  const int h = v.halo();
-  first_touch_split(st_->plan, st_->pool.get(), v.n(), st_->nx, h,
-                    [&](long lo, long hi) {
-                      std::memset(v.data() + lo, 0,
-                                  static_cast<std::size_t>(hi - lo) *
-                                      sizeof(double));
-                    });
+  const auto zero_rows = [&](long lo, long hi) {
+    for_each_row(v, v.halo(), lo, hi, [&](const auto& i, int x0, int x1, bool) {
+      std::memset(row_at(v, i) + x0, 0,
+                  static_cast<std::size_t>(x1 - x0) * sizeof(double));
+    });
+  };
+  split_over_placement(*this, st_->pool.get(), v, /*pinned_only=*/true,
+                       zero_rows);
 }
 
-void PreparedStencil::first_touch(FieldView2D v) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::first_touch on an empty handle");
-  const int h = v.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(v.nx() + 2 * h) * sizeof(double);
-  first_touch_split(st_->plan, st_->pool.get(), v.ny(), st_->ny, h,
-                    [&](long lo, long hi) {
-                      for (long y = lo; y < hi; ++y)
-                        std::memset(v.row(static_cast<int>(y)) - h, 0,
-                                    row_bytes);
-                    });
-}
-
-void PreparedStencil::first_touch(FieldView3D v) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::first_touch on an empty handle");
-  const int h = v.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(v.nx() + 2 * h) * sizeof(double);
-  first_touch_split(st_->plan, st_->pool.get(), v.nz(), st_->nz, h,
-                    [&](long lo, long hi) {
-                      for (long z = lo; z < hi; ++z)
-                        for (int y = -h; y < v.ny() + h; ++y)
-                          std::memset(v.row(static_cast<int>(z), y) - h, 0,
-                                      row_bytes);
-                    });
-}
+template void PreparedStencil::first_touch(const FieldView1D&) const;
+template void PreparedStencil::first_touch(const FieldView2D&) const;
+template void PreparedStencil::first_touch(const FieldView3D&) const;
+template void PreparedStencil::validate_views(const FieldView1D&,
+                                              const FieldView1D&,
+                                              const FieldView1D*) const;
+template void PreparedStencil::validate_views(const FieldView2D&,
+                                              const FieldView2D&,
+                                              const FieldView2D*) const;
+template void PreparedStencil::validate_views(const FieldView3D&,
+                                              const FieldView3D&,
+                                              const FieldView3D*) const;
+template void PreparedStencil::advance_batch(const std::vector<TileBatch1D>&,
+                                             int) const;
+template void PreparedStencil::advance_batch(const std::vector<TileBatch2D>&,
+                                             int) const;
+template void PreparedStencil::advance_batch(const std::vector<TileBatch3D>&,
+                                             int) const;
 
 // ---------------------------------------------------------------------------
 // Resident-layout conversion helpers
@@ -650,32 +450,20 @@ namespace {
 // the transform runs as a pool task over the plan's ownership map — each
 // worker permutes the rows/planes of its own tiles, keeping the work where
 // the pages live (and off the calling thread's node for fresh first-touched
-// buffers). 1-D has no such split (the permutation works on W*W element
-// blocks that tile boundaries would cut) and stays serial. Serial/untiled
-// preparations and mismatched extents fall back to the caller's thread.
-// The const_cast is sound: pool() returns const only as introspection
-// hygiene; the pool object itself is the registry's mutable shared state.
-void transform_view(const PreparedStencil& ps, const FieldView1D& v) {
-  apply_transpose_layout(v, ps.kernel().width);
-}
-
-void transform_view(const PreparedStencil& ps, const FieldView2D& v) {
-  WorkerPool* pool = const_cast<WorkerPool*>(ps.pool());
-  split_over_placement(ps.plan(), pool, v.ny(), ps.ny(), v.halo(),
-                       /*pinned_only=*/false, [&](long lo, long hi) {
-                         apply_transpose_layout_rows(
-                             v, ps.kernel().width, static_cast<int>(lo),
-                             static_cast<int>(hi));
-                       });
-}
-
-void transform_view(const PreparedStencil& ps, const FieldView3D& v) {
-  WorkerPool* pool = const_cast<WorkerPool*>(ps.pool());
-  split_over_placement(ps.plan(), pool, v.nz(), ps.nz(), v.halo(),
-                       /*pinned_only=*/false, [&](long lo, long hi) {
-                         apply_transpose_layout_planes(
-                             v, ps.kernel().width, static_cast<int>(lo),
-                             static_cast<int>(hi));
+// buffers). 1-D has no such split (ViewTraits::slab_transform) and stays
+// serial. Serial/untiled preparations and mismatched extents fall back to
+// the caller's thread. The const_cast is sound: pool() returns const only
+// as introspection hygiene; the pool object itself is the registry's
+// mutable shared state.
+template <class View>
+void transform_view(const PreparedStencil& ps, const View& v) {
+  WorkerPool* pool = ViewTraits<View>::slab_transform
+                         ? const_cast<WorkerPool*>(ps.pool())
+                         : nullptr;
+  split_over_placement(ps, pool, v, /*pinned_only=*/false,
+                       [&](long lo, long hi) {
+                         apply_transpose_layout_slab(v, ps.kernel().width, lo,
+                                                     hi);
                        });
 }
 
@@ -726,24 +514,21 @@ View convert_layout(const PreparedStencil& ps, View v, bool to_resident,
 
 }  // namespace
 
-FieldView1D to_resident_layout(const PreparedStencil& ps, FieldView1D v) {
+template <class View>
+View to_resident_layout(const PreparedStencil& ps, View v) {
   return convert_layout(ps, v, true, "to_resident_layout");
 }
-FieldView2D to_resident_layout(const PreparedStencil& ps, FieldView2D v) {
-  return convert_layout(ps, v, true, "to_resident_layout");
-}
-FieldView3D to_resident_layout(const PreparedStencil& ps, FieldView3D v) {
-  return convert_layout(ps, v, true, "to_resident_layout");
-}
-FieldView1D to_natural_layout(const PreparedStencil& ps, FieldView1D v) {
+template <class View>
+View to_natural_layout(const PreparedStencil& ps, View v) {
   return convert_layout(ps, v, false, "to_natural_layout");
 }
-FieldView2D to_natural_layout(const PreparedStencil& ps, FieldView2D v) {
-  return convert_layout(ps, v, false, "to_natural_layout");
-}
-FieldView3D to_natural_layout(const PreparedStencil& ps, FieldView3D v) {
-  return convert_layout(ps, v, false, "to_natural_layout");
-}
+
+template FieldView1D to_resident_layout(const PreparedStencil&, FieldView1D);
+template FieldView2D to_resident_layout(const PreparedStencil&, FieldView2D);
+template FieldView3D to_resident_layout(const PreparedStencil&, FieldView3D);
+template FieldView1D to_natural_layout(const PreparedStencil&, FieldView1D);
+template FieldView2D to_natural_layout(const PreparedStencil&, FieldView2D);
+template FieldView3D to_natural_layout(const PreparedStencil&, FieldView3D);
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -772,11 +557,9 @@ std::uint64_t hash_pattern(std::uint64_t h, const Pattern<D>& p) {
 std::uint64_t hash_spec(const StencilSpec& s) {
   std::uint64_t h = 1469598103934665603ull;
   h = fnv1a(h, static_cast<std::uint64_t>(s.dims));
-  switch (s.dims) {
-    case 1: h = hash_pattern(h, s.p1); break;
-    case 2: h = hash_pattern(h, s.p2); break;
-    default: h = hash_pattern(h, s.p3); break;
-  }
+  h = dispatch_dims(s.dims, [&](auto dc) {
+    return hash_pattern(h, pattern_of<decltype(dc)::value>(s));
+  });
   h = fnv1a(h, s.has_source ? 1 : 0);
   if (s.has_source) h = hash_pattern(h, s.src1);
   return h;
@@ -788,12 +571,22 @@ std::uint64_t hash_spec(const StencilSpec& s) {
 // served (or keyed as) a stale preparation.
 void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
                      int& tsteps) {
+  if (spec.dims < 1 || spec.dims > 3)
+    throw std::invalid_argument("Engine::prepare: no kernels exist for " +
+                                std::to_string(spec.dims) + "-D stencils");
   if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
   if (opts.threads == 0) opts.threads = env_threads();
   opts.validate = opts.validate && env_validate();
   if (ext.nx == 0) ext.nx = spec.small_size[0];
   if (ext.ny == 0) ext.ny = spec.dims >= 2 ? spec.small_size[1] : 1;
   if (ext.nz == 0) ext.nz = spec.dims >= 3 ? spec.small_size[2] : 1;
+  // Views carry int extents: an axis the stencil uses must fit one.
+  const long used[3] = {ext.nx, ext.ny, ext.nz};
+  for (int d = 0; d < spec.dims; ++d)
+    if (used[d] < 1 || used[d] > std::numeric_limits<int>::max())
+      throw std::invalid_argument(
+          "Engine::prepare: extent " + std::to_string(used[d]) +
+          " of axis " + std::to_string(d) + " is outside [1, INT_MAX]");
   tsteps = opts.tsteps > 0 ? opts.tsteps
                            : static_cast<int>(spec.small_tsteps);
   // Tile-tree depth: unset defers to SF_TILE_LEVELS; Auto (-1, from either
@@ -806,29 +599,28 @@ void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
   opts.levels = opts.levels < 1 ? 1 : opts.levels > 3 ? 3 : opts.levels;
 }
 
+// The effective request after resolve_request(), flattened: every field
+// the plan cache matches on and the plan key hashes (the spec itself is
+// matched by same_spec() and hashed by hash_spec()).
+using RequestFields = std::array<std::uint64_t, 15>;
+
+RequestFields request_fields(const Extents& ext, int tsteps,
+                             const ExecOptions& o) {
+  auto u = [](auto v) { return static_cast<std::uint64_t>(v); };
+  return {u(ext.nx), u(ext.ny), u(ext.nz), u(tsteps), u(o.method),
+          u(o.isa), u(o.tiling), u(o.threads), u(o.tile), u(o.time_block),
+          u(o.layout), u(o.halo_policy), u(o.affinity), u(o.levels),
+          u(o.validate)};
+}
+
 // The plan key: FNV-1a over the full effective request. Equal keys mean
 // prepare() would serve both requests from one cache entry (modulo hash
 // collisions, which only cost a missed batching opportunity downstream —
 // the serving batcher executes each group through a handle of that group,
 // never across groups).
-std::uint64_t request_key(std::uint64_t spec_hash, const Extents& ext,
-                          int tsteps, const ExecOptions& o) {
+std::uint64_t request_key(std::uint64_t spec_hash, const RequestFields& f) {
   std::uint64_t h = fnv1a(1469598103934665603ull, spec_hash);
-  h = fnv1a(h, static_cast<std::uint64_t>(ext.nx));
-  h = fnv1a(h, static_cast<std::uint64_t>(ext.ny));
-  h = fnv1a(h, static_cast<std::uint64_t>(ext.nz));
-  h = fnv1a(h, static_cast<std::uint64_t>(tsteps));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.method));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.isa));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.tiling));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.threads));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.tile));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.time_block));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.layout));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.halo_policy));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.affinity));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.levels));
-  h = fnv1a(h, o.validate ? 1u : 0u);
+  for (std::uint64_t v : f) h = fnv1a(h, v);
   return h;
 }
 
@@ -850,20 +642,17 @@ bool same_spec(const StencilSpec& a, const StencilSpec& b) {
   if (a.id != b.id || a.name != b.name) return false;
   if (a.dims != b.dims || a.has_source != b.has_source) return false;
   if (a.has_source && !same_pattern(a.src1, b.src1)) return false;
-  switch (a.dims) {
-    case 1: return same_pattern(a.p1, b.p1);
-    case 2: return same_pattern(a.p2, b.p2);
-    default: return same_pattern(a.p3, b.p3);
-  }
+  return dispatch_dims(a.dims, [&](auto dc) {
+    constexpr int D = decltype(dc)::value;
+    return same_pattern(pattern_of<D>(a), pattern_of<D>(b));
+  });
 }
 
 }  // namespace
 
 struct Engine::CacheEntry {
   std::uint64_t spec_hash = 0;
-  ExecOptions opts;
-  long nx = 0, ny = 1, nz = 1;
-  int tsteps = 0;
+  RequestFields request{};
   // Per-key tuner dependence: a plan that consulted the TuneCache records
   // *which* key it asked about and what the lookup returned. The entry
   // stays valid exactly while that lookup still returns the same answer —
@@ -906,18 +695,9 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   // the resident-layout axis and halo policy change run()-time behavior,
   // so preparations differing in them must not be shared.
   const std::uint64_t sh = hash_spec(spec);
+  const RequestFields request = request_fields(ext, tsteps, opts);
   auto matches = [&](const CacheEntry& e) {
-    return e.spec_hash == sh && e.nx == ext.nx && e.ny == ext.ny &&
-           e.nz == ext.nz && e.tsteps == tsteps &&
-           e.opts.method == opts.method && e.opts.isa == opts.isa &&
-           e.opts.tiling == opts.tiling && e.opts.threads == opts.threads &&
-           e.opts.tile == opts.tile &&
-           e.opts.time_block == opts.time_block &&
-           e.opts.layout == opts.layout &&
-           e.opts.halo_policy == opts.halo_policy &&
-           e.opts.affinity == opts.affinity &&
-           e.opts.levels == opts.levels &&
-           e.opts.validate == opts.validate &&
+    return e.spec_hash == sh && e.request == request &&
            same_spec(e.state->spec, spec);
   };
   auto tuner_fresh = [](const CacheEntry& e) {
@@ -947,7 +727,7 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   st->nz = ext.nz;
   st->tsteps = tsteps;
   st->threads = opts.threads;
-  st->plan_key = request_key(sh, ext, tsteps, opts);
+  st->plan_key = request_key(sh, request);
 
   const Method m =
       opts.method == Method::Auto ? auto_method(spec, opts.isa) : opts.method;
@@ -998,11 +778,7 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
 
   CacheEntry entry;
   entry.spec_hash = sh;
-  entry.opts = opts;
-  entry.nx = ext.nx;
-  entry.ny = ext.ny;
-  entry.nz = ext.nz;
-  entry.tsteps = tsteps;
+  entry.request = request;
   // Snapshot the tuner lookup this plan depended on (plan_execution
   // consults the cache only for tiled plans with auto geometry, keyed on
   // the negotiated thread count). The snapshot is taken after planning, so
@@ -1087,7 +863,7 @@ std::uint64_t Engine::plan_key(const StencilSpec& spec, Extents ext,
   ExecOptions opts = opts_in;
   int tsteps = 0;
   resolve_request(spec, ext, opts, tsteps);
-  return request_key(hash_spec(spec), ext, tsteps, opts);
+  return request_key(hash_spec(spec), request_fields(ext, tsteps, opts));
 }
 
 std::size_t Engine::plan_cache_size() const {

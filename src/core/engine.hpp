@@ -54,14 +54,14 @@ struct Extents {
   long nz = 0;  ///< Third extent (ignored below 3-D).
 };
 
-/// Per-call halo handling of PreparedStencil::run()/advance().
+/// Per-call halo handling of PreparedStencil::run().
 enum class HaloPolicy {
   Sync,   ///< run() mirrors a's Dirichlet halo ring into b before executing
           ///< (the safe default: b's halo may hold anything).
   Clean,  ///< The caller promises b's halo already equals a's (true after
-          ///< any prior run()/advance() on the same pair, since kernels
-          ///< never write halos) — the O(surface) per-call sync is skipped.
-          ///< Streaming advance() loops use this to shave the remaining
+          ///< any prior run() on the same pair, since kernels never
+          ///< write halos) — the O(surface) per-call sync is skipped.
+          ///< Streaming run() loops use this to shave the remaining
           ///< per-call work once the pair is warmed up.
 };
 
@@ -78,13 +78,13 @@ struct ExecOptions {
                    ///< run() may execute a different horizon; the captured
                    ///< geometry is simply re-clamped by the engine.
   Layout layout = Layout::Natural;
-  ///< Resident field layout run()/advance() will accept in addition to
+  ///< Resident field layout run() will accept in addition to
   ///< Layout::Natural. Layout::Natural (the default) keeps the historical
   ///< contract: only natural-layout views are accepted and layout-using
   ///< kernels transform in/out on every call. Requesting the selected
   ///< kernel's preferred layout (PreparedStencil::preferred_layout(),
   ///< Transposed for the "ours" methods) lets callers keep their buffers
-  ///< in that layout across an advance() stream — transform once via
+  ///< in that layout across a run() stream — transform once via
   ///< to_resident_layout(), then every call skips the involution.
   ///< prepare() throws when the layout is not the kernel's preference.
   HaloPolicy halo_policy = HaloPolicy::Sync;
@@ -105,10 +105,10 @@ struct ExecOptions {
   ///< so prepared handles are env-immune and the plan cache keys on the
   ///< effective depth. Results are bitwise identical across depths.
   bool validate = true;
-  ///< Per-call FieldView validation in run()/advance(). Default on; the
+  ///< Per-call FieldView validation in run(). Default on; the
   ///< debug-only escape hatch (`validate = false`, or `SF_VALIDATE=0`
   ///< process-wide) removes the residual O(1) checks from streaming
-  ///< advance() loops — combined with HaloPolicy::Clean a call is then
+  ///< run() loops — combined with HaloPolicy::Clean a call is then
   ///< pure kernel dispatch. Invalid views are undefined behavior once
   ///< validation is off; keep it on everywhere except profiled-clean
   ///< streaming hot loops.
@@ -118,7 +118,7 @@ struct ExecOptions {
 /// negotiated kernel, halo, ExecutionPlan and tile geometry, captured once
 /// by Engine::prepare(). Copies share the underlying prepared state.
 ///
-/// run()/advance() execute zero-copy on caller-owned buffers. The result
+/// run() executes zero-copy on caller-owned buffers. The result
 /// always lands in `a`; `b` is same-shaped scratch whose halo run() syncs
 /// from `a` (Dirichlet halos are part of the input state, and both
 /// ping-pong buffers expose them to the kernels) — unless the handle was
@@ -158,7 +158,7 @@ class PreparedStencil {
   /// to — independent of whether *this handle* accepts resident views
   /// (that requires ExecOptions::layout, see resident_layout()).
   Layout preferred_layout() const;
-  /// The resident layout run()/advance() accepts beyond Layout::Natural —
+  /// The resident layout run() accepts beyond Layout::Natural —
   /// ExecOptions::layout as validated by prepare(). Natural means this is
   /// a natural-only handle (the historical contract).
   Layout resident_layout() const;
@@ -167,7 +167,7 @@ class PreparedStencil {
   /// The resolved worker placement policy (ExecOptions::affinity after the
   /// SF_AFFINITY default applied).
   Affinity affinity() const;
-  /// True when run()/advance() validate views per call (the default).
+  /// True when run() validates views per call (the default).
   bool validates() const;
   /// Stable hash of the *effective* prepare request this handle was built
   /// from (stencil pattern + extents + horizon + every resolved ExecOptions
@@ -192,14 +192,14 @@ class PreparedStencil {
   /// first touch is decided by the *first* write, so a buffer that was
   /// already zeroed serially gains nothing. Serial/untiled preparations
   /// (and Affinity::None pools) zero the buffer on the calling thread.
-  void first_touch(FieldView1D v) const;
-  /// 2-D overload of first_touch().
-  void first_touch(FieldView2D v) const;
-  /// 3-D overload of first_touch().
-  void first_touch(FieldView3D v) const;
+  /// `View` is FieldView1D, FieldView2D or FieldView3D.
+  template <class View>
+  void first_touch(const View& v) const;
 
   /// Executes `tsteps` steps on a 1-D source-free stencil; result in `a`.
-  /// Throws std::invalid_argument on view/shape mismatch.
+  /// Throws std::invalid_argument on view/shape mismatch. Repeated calls on
+  /// the same pair stream the fields onward: no per-call planning or
+  /// allocation occurs.
   void run(FieldView1D a, FieldView1D b, int tsteps) const;
   /// 1-D run with the APOP time-invariant source array `k`.
   void run(FieldView1D a, FieldView1D b, FieldView1D k, int tsteps) const;
@@ -208,56 +208,43 @@ class PreparedStencil {
   /// 3-D run; result in `a`.
   void run(FieldView3D a, FieldView3D b, int tsteps) const;
 
-  /// Streaming entry point: advances the fields `nsteps` further steps.
-  /// Identical semantics to run() (result in `a` after every call), named
-  /// separately so step-wise callers express intent; repeated small
-  /// advances are valid because no per-call planning or allocation occurs.
-  void advance(FieldView1D a, FieldView1D b, int nsteps) const;
-  /// 1-D streaming advance with the APOP source array `k`.
-  void advance(FieldView1D a, FieldView1D b, FieldView1D k, int nsteps) const;
-  /// 2-D streaming advance.
-  void advance(FieldView2D a, FieldView2D b, int nsteps) const;
-  /// 3-D streaming advance.
-  void advance(FieldView3D a, FieldView3D b, int nsteps) const;
+  /// Batched run: advances every item of `items` by `nsteps` steps with
+  /// *one* pool dispatch (tiling/split_tiling.hpp run_tile_plan_batch)
+  /// instead of one per item — the serving batcher's execution primitive,
+  /// amortizing dispatch and barrier cost across N same-plan small grids.
+  /// Per-item semantics are exactly run(): each item is validated (unless
+  /// prepared with validate off), halo-synced per the prepared HaloPolicy,
+  /// and its result lands in its `a`; results are bitwise identical to
+  /// sequential run() calls. Items must all match this handle's prepared
+  /// geometry, and buffers of distinct items must be pairwise disjoint (not
+  /// cross-checked — each item's views are validated individually). A 1-D
+  /// prepared stencil with a source term reads each item's own `k` view.
+  template <class View>
+  void advance_batch(const std::vector<TileBatch<View>>& items,
+                     int nsteps) const;
 
-  /// Batched streaming advance: advances every item of `items` by `nsteps`
-  /// steps with *one* pool dispatch (tiling/split_tiling.hpp
-  /// run_tile_plan_batch) instead of one per item — the serving batcher's
-  /// execution primitive, amortizing dispatch and barrier cost across N
-  /// same-plan small grids. Per-item semantics are exactly advance(): each
-  /// item is validated (unless prepared with validate off), halo-synced per
-  /// the prepared HaloPolicy, and its result lands in its `a`; results are
-  /// bitwise identical to sequential advance() calls. Items must all match
-  /// this handle's prepared geometry, and buffers of distinct items must be
-  /// pairwise disjoint (not cross-checked — each item's views are validated
-  /// individually). A 1-D prepared stencil with a source term reads each
-  /// item's own `k` view.
-  void advance_batch(const std::vector<TileBatch1D>& items, int nsteps) const;
-  /// 2-D overload of advance_batch().
-  void advance_batch(const std::vector<TileBatch2D>& items, int nsteps) const;
-  /// 3-D overload of advance_batch().
-  void advance_batch(const std::vector<TileBatch3D>& items, int nsteps) const;
-
-  /// Validates a 1-D view pair (plus optional source array) against the
-  /// prepared geometry exactly as run() does — unconditionally, even on
-  /// handles prepared with validation off. Throws std::invalid_argument on
-  /// mismatch. The serving front end calls this at submit time so a bad
-  /// request is rejected on the client thread instead of poisoning a batch.
-  void validate_views(FieldView1D a, FieldView1D b,
-                      const FieldView1D* k = nullptr) const;
-  /// 2-D overload of validate_views().
-  void validate_views(FieldView2D a, FieldView2D b) const;
-  /// 3-D overload of validate_views().
-  void validate_views(FieldView3D a, FieldView3D b) const;
+  /// Validates a view pair (plus, in 1-D, the optional source array `k`)
+  /// against the prepared geometry exactly as run() does —
+  /// unconditionally, even on handles prepared with validation off. Throws
+  /// std::invalid_argument on mismatch. The serving front end calls this at
+  /// submit time so a bad request is rejected on the client thread instead
+  /// of poisoning a batch.
+  template <class View>
+  void validate_views(const View& a, const View& b,
+                      const View* k = nullptr) const;
 
  private:
   friend class Engine;
   struct State;
   explicit PreparedStencil(std::shared_ptr<const State> st)
       : st_(std::move(st)) {}
-  /// The one body behind the three advance_batch() overloads.
-  template <class Item>
-  void advance_batch_impl(const std::vector<Item>& items, int nsteps) const;
+  /// The prepared state; throws unless this handle holds one for `dims`-D
+  /// views (`fn` names the caller in the message).
+  const State& state(int dims, const char* fn) const;
+  /// The one body behind the run() overloads.
+  template <class View>
+  void run_impl(const View& a, const View& b, const View* k,
+                int tsteps) const;
 
   std::shared_ptr<const State> st_;
 };
@@ -338,25 +325,20 @@ class Engine {
 /// and returns the view re-tagged with it. The one-time counterpart of the
 /// per-call involution: pay it once, then stream transposed-tagged views
 /// through a handle prepared with ExecOptions::layout and every
-/// run()/advance() skips the transform. Halo rows/planes are transformed
+/// run() skips the transform. Halo rows/planes are transformed
 /// along with the interior (kernels read y/z-neighbours of boundary rows
 /// through layout-aware accessors). No-op when the preferred layout is
 /// Natural or `v` is already tagged with it; throws std::invalid_argument
 /// for views tagged with any other layout.
-FieldView1D to_resident_layout(const PreparedStencil& ps, FieldView1D v);
-/// 2-D overload of to_resident_layout().
-FieldView2D to_resident_layout(const PreparedStencil& ps, FieldView2D v);
-/// 3-D overload of to_resident_layout().
-FieldView3D to_resident_layout(const PreparedStencil& ps, FieldView3D v);
+/// `View` is FieldView1D, FieldView2D or FieldView3D.
+template <class View>
+View to_resident_layout(const PreparedStencil& ps, View v);
 
 /// Inverse of to_resident_layout(): transforms a resident-tagged view's
 /// buffer back to natural order (the transpose layout is an involution) and
 /// returns it re-tagged Layout::Natural. No-op on natural-tagged views.
-FieldView1D to_natural_layout(const PreparedStencil& ps, FieldView1D v);
-/// 2-D overload of to_natural_layout().
-FieldView2D to_natural_layout(const PreparedStencil& ps, FieldView2D v);
-/// 3-D overload of to_natural_layout().
-FieldView3D to_natural_layout(const PreparedStencil& ps, FieldView3D v);
+template <class View>
+View to_natural_layout(const PreparedStencil& ps, View v);
 
 /// Useful FLOPs per time step for a stencil at the given size.
 double flops_per_step(const StencilSpec& spec, long nx, long ny, long nz);

@@ -4,6 +4,7 @@
 
 #include "common/env.hpp"
 #include "core/tuner.hpp"
+#include "grid/view_traits.hpp"
 #include "runtime/topology.hpp"
 
 namespace sf {
@@ -11,11 +12,9 @@ namespace sf {
 namespace {
 
 int pattern_radius(const StencilSpec& s) {
-  switch (s.dims) {
-    case 1: return s.p1.radius();
-    case 2: return s.p2.radius();
-    default: return s.p3.radius();
-  }
+  return dispatch_dims(s.dims, [&](auto dc) {
+    return pattern_of<decltype(dc)::value>(s).radius();
+  });
 }
 
 int source_radius(const StencilSpec& s) {
@@ -24,8 +23,9 @@ int source_radius(const StencilSpec& s) {
 
 // The dimension the wedge schedule tessellates: x in 1-D, y in 2-D, z in
 // 3-D (always the outermost loop of the untiled executors).
-long tiled_extent(const StencilSpec& s, long nx, long ny, long nz) {
-  return s.dims == 1 ? nx : s.dims == 2 ? ny : nz;
+long tiled_axis_extent(const PlanRequest& req) {
+  const long n[3] = {req.nx, req.ny, req.nz};
+  return n[req.spec->dims - 1];
 }
 
 bool engages(const PlanRequest& req) {
@@ -34,15 +34,14 @@ bool engages(const PlanRequest& req) {
                             source_radius(*req.spec), req.nx);
 }
 
-// Bytes of one cross-section slice of the tiled dimension, mirroring what
-// the engine impls pass make_plan (so plan() reports the exact geometry
-// run_tile_plan will reconstruct).
-long slice_bytes(const StencilSpec& s, long nx, long ny) {
-  switch (s.dims) {
-    case 1: return sizeof(double);
-    case 2: return static_cast<long>(sizeof(double)) * nx;
-    default: return static_cast<long>(sizeof(double)) * nx * ny;
-  }
+// Bytes of one cross-section slice of the tiled dimension (every axis
+// below it), mirroring what the engine passes make_plan (so plan() reports
+// the exact geometry run_tile_plan will reconstruct).
+long slice_bytes(const PlanRequest& req) {
+  const long n[3] = {req.nx, req.ny, req.nz};
+  long bytes = sizeof(double);
+  for (int d = 0; d + 1 < req.spec->dims; ++d) bytes *= n[d];
+  return bytes;
 }
 
 WedgeGeometry negotiate(const PlanRequest& req) {
@@ -54,10 +53,9 @@ WedgeGeometry negotiate(const PlanRequest& req) {
   requested.threads = req.threads;
   requested.affinity = req.affinity;
   const int slope = req.kernel->wedge_slope(pattern_radius(*req.spec));
-  return negotiate_wedge(
-      static_cast<int>(tiled_extent(*req.spec, req.nx, req.ny, req.nz)),
-      slope, req.kernel->fold_depth, req.tsteps, requested,
-      slice_bytes(*req.spec, req.nx, req.ny));
+  return negotiate_wedge(static_cast<int>(tiled_axis_extent(req)), slope,
+                         req.kernel->fold_depth, req.tsteps, requested,
+                         slice_bytes(req));
 }
 
 }  // namespace
@@ -136,7 +134,7 @@ int negotiate_tree(const PlanRequest& req, ExecutionPlan& plan) {
   if (req.levels < 2 || !plan.blocked || plan.tile.threads <= 1 ||
       req.tile > 0)
     return 1;
-  const long slice = slice_bytes(*req.spec, req.nx, req.ny);
+  const long slice = slice_bytes(req);
   const int nodes = std::max(1, Topology::system().numa_nodes());
   const int workers_per_node =
       (plan.tile.threads + nodes - 1) / nodes;
@@ -162,7 +160,7 @@ int negotiate_tree(const PlanRequest& req, ExecutionPlan& plan) {
 // what the tree reports.
 void stamp_tree(const PlanRequest& req, ExecutionPlan& plan, int levels) {
   const int axis = req.spec->dims - 1;
-  const long n_tiled = tiled_extent(*req.spec, req.nx, req.ny, req.nz);
+  const long n_tiled = tiled_axis_extent(req);
   TileTree leaf_level;
   leaf_level.axis = axis;
   leaf_level.extent = plan.tile.tile;
@@ -245,7 +243,7 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   // The placement map is part of the plan: who computes which tiles is
   // negotiated with the geometry, not improvised at run time.
   if (plan.blocked && plan.tile.threads > 1) {
-    const long n_tiled = tiled_extent(*req.spec, req.nx, req.ny, req.nz);
+    const long n_tiled = tiled_axis_extent(req);
     const int ntiles =
         static_cast<int>((n_tiled + plan.tile.tile - 1) / plan.tile.tile);
     plan.placement =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/timing.hpp"
 #include "core/tuner.hpp"
 #include "grid/grid_utils.hpp"
+#include "grid/view_traits.hpp"
 #include "stencil/reference.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiling/split_tiling.hpp"
@@ -19,64 +21,12 @@ namespace sf {
 
 namespace {
 
-/// The one dimensionality switch of the whole facade: every other piece of
-/// the run path is written once, generically, against D.
-template <class F>
-decltype(auto) dispatch_dims(int dims, F&& f) {
-  switch (dims) {
-    case 1: return f(std::integral_constant<int, 1>{});
-    case 2: return f(std::integral_constant<int, 2>{});
-    case 3: return f(std::integral_constant<int, 3>{});
-    default: throw std::logic_error("bad dims");
-  }
-}
-
+// The Workspace's D-dimensional slots: (a, b, ra, rb).
 template <int D>
-auto make_grid(long nx, long ny, long nz, int halo, bool zero_init = true) {
-  if constexpr (D == 1)
-    return Grid1D(static_cast<int>(nx), halo, zero_init);
-  else if constexpr (D == 2)
-    return Grid2D(static_cast<int>(ny), static_cast<int>(nx), halo,
-                  zero_init);
-  else
-    return Grid3D(static_cast<int>(nz), static_cast<int>(ny),
-                  static_cast<int>(nx), halo, zero_init);
-}
-
-template <int D>
-const auto& pattern_of(const StencilSpec& s) {
-  if constexpr (D == 1)
-    return s.p1;
-  else if constexpr (D == 2)
-    return s.p2;
-  else
-    return s.p3;
-}
-
-// Per-dimension slots of the Workspace.
-template <int D>
-auto& ws_a(Workspace& w) {
-  if constexpr (D == 1) return w.a1;
-  else if constexpr (D == 2) return w.a2;
-  else return w.a3;
-}
-template <int D>
-auto& ws_b(Workspace& w) {
-  if constexpr (D == 1) return w.b1;
-  else if constexpr (D == 2) return w.b2;
-  else return w.b3;
-}
-template <int D>
-auto& ws_ra(Workspace& w) {
-  if constexpr (D == 1) return w.ra1;
-  else if constexpr (D == 2) return w.ra2;
-  else return w.ra3;
-}
-template <int D>
-auto& ws_rb(Workspace& w) {
-  if constexpr (D == 1) return w.rb1;
-  else if constexpr (D == 2) return w.rb2;
-  else return w.rb3;
+auto ws_slots(Workspace& w) {
+  if constexpr (D == 1) return std::tie(w.a1, w.b1, w.ra1, w.rb1);
+  else if constexpr (D == 2) return std::tie(w.a2, w.b2, w.ra2, w.rb2);
+  else return std::tie(w.a3, w.b3, w.ra3, w.rb3);
 }
 
 /// Candidate tile extents the auto-tuner measures: the planner's negotiated
@@ -206,18 +156,15 @@ Solver& Solver::seed(std::uint64_t s) {
 
 Solver& Solver::resolve() {
   if (selected_ != nullptr) return *this;
-  // Each unset (0) extent independently defaults to the preset's fast-run
-  // size, so size(nx) on a 2-D problem keeps the preset's ny rather than
-  // silently degenerating to nx x 1.
-  if (cfg_.nx == 0) cfg_.nx = cfg_.spec.small_size[0];
-  if (cfg_.ny == 0)
-    cfg_.ny = cfg_.spec.dims >= 2 ? cfg_.spec.small_size[1] : 1;
-  if (cfg_.nz == 0)
-    cfg_.nz = cfg_.spec.dims >= 3 ? cfg_.spec.small_size[2] : 1;
-  if (cfg_.tsteps == 0) cfg_.tsteps = static_cast<int>(cfg_.spec.small_tsteps);
-
+  // The Engine resolves the unset (0) extents and horizon: each defaults
+  // independently to the preset's fast-run value, so size(nx) on a 2-D
+  // problem keeps the preset's ny rather than degenerating to nx x 1.
   prepared_ = Engine::instance().prepare(
       cfg_.spec, Extents{cfg_.nx, cfg_.ny, cfg_.nz}, exec_options());
+  cfg_.nx = prepared_.nx();
+  cfg_.ny = prepared_.ny();
+  cfg_.nz = prepared_.nz();
+  cfg_.tsteps = prepared_.tsteps();
   if (cfg_.resident && prepared_.preferred_layout() != Layout::Natural) {
     // Re-prepare with the now-known preferred layout so the handle accepts
     // resident views; the first preparation stays cached and is shared by
@@ -296,14 +243,15 @@ int Solver::halo() { return resolve().halo_; }
 //  3. thread counts {resolved, resolved/2, cores-per-node}: now that the
 //     worker count is a first-class plan parameter, bandwidth-saturated
 //     stencils can settle below the hardware maximum.
-template <int D, class P, class G>
-void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
-                       const FieldView1D* kk) {
+template <class View>
+void Solver::tune_pass(const View& a, const View& b, const Pattern1D* src,
+                       const View* kk) {
   if (!(plan_.tiled && plan_.blocked && (cfg_.tune || tune_forced()) &&
         plan_.source == PlanSource::Heuristic && cfg_.tile == 0 &&
         cfg_.time_block == 0))
     return;
-  const long n_tiled = D == 1 ? cfg_.nx : D == 2 ? cfg_.ny : cfg_.nz;
+  const auto& p = pattern_of<ViewTraits<View>::dims>(cfg_.spec);
+  const long n_tiled = tiled_extent(a);
   const int m = std::max(1, selected_->fold_depth);
   const int slope = selected_->wedge_slope(p.radius());
   // One uniform probe horizon for every candidate: fixed per-call
@@ -321,10 +269,7 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
     cand.tile = tile_c;
     cand.time_block = tb_c;
     cand.threads = thr_c;
-    if constexpr (D == 1)
-      run_tile_plan(p, a, b, src, kk, steps, cand);
-    else
-      run_tile_plan(p, a, b, steps, cand);
+    run_tile_plan(p, a, b, src, kk, steps, cand);
   };
   // Every probe measurement is logged (not just winners): the accumulated
   // (geometry -> GFLOP/s) table is the training set the ROADMAP item-5
@@ -517,8 +462,7 @@ RunResult Solver::run_impl(bool verify) {
       ws_.nz = cfg_.nz;
       ws_.affinity = prepared_.affinity();
     }
-    auto& A = ws_a<D>(ws_);
-    auto& B = ws_b<D>(ws_);
+    auto [A, B, RA, RB] = ws_slots<D>(ws_);
     if (!A) {
       // Pinned runs allocate the ping-pong pair untouched and let the
       // pool's placement map write each page first: worker w zeroes the
@@ -534,9 +478,10 @@ RunResult Solver::run_impl(bool verify) {
       }
     }
     fill_random(*A, cfg_.seed);
-    [[maybe_unused]] const Pattern1D* src = nullptr;
-    [[maybe_unused]] FieldView1D kview;
-    [[maybe_unused]] const FieldView1D* kk = nullptr;
+    using View = decltype(A->view());
+    const Pattern1D* src = nullptr;
+    View kview;
+    const View* kk = nullptr;
     if constexpr (D == 1) {
       if (s.has_source) {
         if (!ws_.k1) ws_.k1.emplace(make_grid<1>(cfg_.nx, cfg_.ny, cfg_.nz, halo_));
@@ -547,7 +492,7 @@ RunResult Solver::run_impl(bool verify) {
       }
     }
 
-    tune_pass<D>(p, *A, *B, src, kk);
+    tune_pass(A->view(), B->view(), src, kk);
     copy(*A, *B);
 
     // Resident-layout execution (opt-in): hoist the kernel's per-call
@@ -561,9 +506,7 @@ RunResult Solver::run_impl(bool verify) {
     if (resident) {
       av = to_resident_layout(prepared_, av);
       bv = to_resident_layout(prepared_, bv);
-      if constexpr (D == 1) {
-        if (kk != nullptr) kview = to_resident_layout(prepared_, kview);
-      }
+      if (kk != nullptr) kview = to_resident_layout(prepared_, kview);
     }
 
     RunResult res;
@@ -583,9 +526,7 @@ RunResult Solver::run_impl(bool verify) {
     if (resident) {
       to_natural_layout(prepared_, av);
       to_natural_layout(prepared_, bv);
-      if constexpr (D == 1) {
-        if (kk != nullptr) kview = to_natural_layout(prepared_, kview);
-      }
+      if (kk != nullptr) kview = to_natural_layout(prepared_, kview);
     }
     res.gflops = flops_per_step(s, cfg_.nx, cfg_.ny, cfg_.nz) *
                  static_cast<double>(cfg_.tsteps) / res.seconds / 1e9;
@@ -593,8 +534,6 @@ RunResult Solver::run_impl(bool verify) {
     if (verify) {
       // Untimed reference on identical inputs; the timed run's own output
       // is what gets compared (the kernel executes exactly once).
-      auto& RA = ws_ra<D>(ws_);
-      auto& RB = ws_rb<D>(ws_);
       if (!RA) {
         RA.emplace(make_grid<D>(cfg_.nx, cfg_.ny, cfg_.nz, halo_));
         RB.emplace(make_grid<D>(cfg_.nx, cfg_.ny, cfg_.nz, halo_));

@@ -247,9 +247,9 @@ class Solver {
   /// winner in the TuneCache, re-prepares through the Engine (which now
   /// recalls the tuned geometry), upgrades plan_ to the winner
   /// (source = Tuned), and restores `a`'s initial state. No-op otherwise.
-  template <int D, class P, class G>
-  void tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
-                 const FieldView1D* kk);
+  template <class View>
+  void tune_pass(const View& a, const View& b, const Pattern1D* src,
+                 const View* kk);
 
   Config cfg_;
   PreparedStencil prepared_;              // set by resolve()

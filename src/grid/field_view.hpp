@@ -32,7 +32,7 @@ namespace sf {
 /// tagged with a kernel's *preferred* layout (KernelInfo::preferred_layout,
 /// Transposed for the register-transpose methods) execute resident — the
 /// per-call involution is skipped, which is how streaming callers amortize
-/// the transform across an advance() stream (core/engine.hpp
+/// the transform across a run() stream (core/engine.hpp
 /// to_resident_layout). The tag is a caller promise about the bytes; a
 /// mismatched tag is rejected by PreparedStencil::run validation, never
 /// silently misinterpreted.
@@ -52,22 +52,14 @@ inline const char* layout_name(Layout l) {
   return "?";
 }
 
-/// Non-owning view of a 1-D halo field: n interior elements with `halo`
-/// addressable cells on each side.
-class FieldView1D {
- public:
-  /// An empty view (valid() is false).
-  FieldView1D() = default;
-  /// Wraps caller memory; `interior` points at logical element 0 (halo at
-  /// negative indices).
-  FieldView1D(double* interior, int n, int halo,
-              Layout layout = Layout::Natural, int layout_width = 0)
-      : p_(interior), n_(n), halo_(halo), layout_(layout),
-        layout_w_(layout_width) {}
+namespace detail {
 
-  /// Interior extent.
-  int n() const { return n_; }
-  /// Addressable halo cells on each side.
+/// What every field view carries whatever its dimensionality: the interior
+/// pointer, the halo width and the layout tag. FieldView1D/2D/3D add their
+/// extents and strides.
+class ViewBase {
+ public:
+  /// Addressable halo cells on each side of each dimension.
   int halo() const { return halo_; }
   /// Storage-order tag of the wrapped memory.
   Layout layout() const { return layout_; }
@@ -79,9 +71,39 @@ class FieldView1D {
   int layout_width() const { return layout_w_; }
   /// True when the view wraps memory (default-constructed views do not).
   bool valid() const { return p_ != nullptr; }
-
-  /// Pointer to interior element 0; valid indices are [-halo, n+halo).
+  /// Pointer to the interior's first element (logical index 0 on every
+  /// axis; the halo lies at negative offsets).
   double* data() const { return p_; }
+
+ protected:
+  /// An empty view (valid() is false).
+  ViewBase() = default;
+  /// Wraps caller memory whose interior element 0 is at `p`.
+  ViewBase(double* p, int halo, Layout layout, int layout_width)
+      : p_(p), halo_(halo), layout_(layout), layout_w_(layout_width) {}
+
+  double* p_ = nullptr;  ///< Interior element 0.
+  int halo_ = 0;         ///< Halo width.
+  Layout layout_ = Layout::Natural;  ///< Storage-order tag.
+  int layout_w_ = 0;     ///< SIMD width of a non-natural tag.
+};
+
+}  // namespace detail
+
+/// Non-owning view of a 1-D halo field: n interior elements with `halo`
+/// addressable cells on each side.
+class FieldView1D : public detail::ViewBase {
+ public:
+  /// An empty view (valid() is false).
+  FieldView1D() = default;
+  /// Wraps caller memory; `interior` points at logical element 0 (halo at
+  /// negative indices).
+  FieldView1D(double* interior, int n, int halo,
+              Layout layout = Layout::Natural, int layout_width = 0)
+      : ViewBase(interior, halo, layout, layout_width), n_(n) {}
+
+  /// Interior extent.
+  int n() const { return n_; }
   /// Element access by logical index (halo at negative indices).
   double& at(int i) const { return p_[i]; }
 
@@ -93,23 +115,20 @@ class FieldView1D {
   }
 
  private:
-  double* p_ = nullptr;
-  int n_ = 0, halo_ = 0;
-  Layout layout_ = Layout::Natural;
-  int layout_w_ = 0;
+  int n_ = 0;
 };
 
 /// Non-owning view of a 2-D halo field: ny x nx interior, rows `stride`
 /// doubles apart.
-class FieldView2D {
+class FieldView2D : public detail::ViewBase {
  public:
   /// An empty view (valid() is false).
   FieldView2D() = default;
   /// Wraps caller memory; `interior` points at logical element (0,0).
   FieldView2D(double* interior, int ny, int nx, int stride, int halo,
               Layout layout = Layout::Natural, int layout_width = 0)
-      : p_(interior), ny_(ny), nx_(nx), stride_(stride), halo_(halo),
-        layout_(layout), layout_w_(layout_width) {}
+      : ViewBase(interior, halo, layout, layout_width), ny_(ny), nx_(nx),
+        stride_(stride) {}
 
   /// Interior row count.
   int ny() const { return ny_; }
@@ -117,18 +136,6 @@ class FieldView2D {
   int nx() const { return nx_; }
   /// Distance between consecutive rows, in doubles.
   int stride() const { return stride_; }
-  /// Addressable halo cells on each side of each dimension.
-  int halo() const { return halo_; }
-  /// Storage-order tag of the wrapped memory.
-  Layout layout() const { return layout_; }
-  /// SIMD width of the non-natural layout; see FieldView1D::layout_width().
-  int layout_width() const { return layout_w_; }
-  /// True when the view wraps memory (default-constructed views do not).
-  bool valid() const { return p_ != nullptr; }
-
-  /// Pointer to interior element (0,0); valid (y,x) with y in
-  /// [-halo, ny+halo) and x in [-halo, nx+halo).
-  double* data() const { return p_; }
   /// Pointer to interior element (y, 0); y may range over the halo.
   double* row(int y) const {
     return p_ + static_cast<std::ptrdiff_t>(y) * stride_;
@@ -143,15 +150,12 @@ class FieldView2D {
   }
 
  private:
-  double* p_ = nullptr;
-  int ny_ = 0, nx_ = 0, stride_ = 0, halo_ = 0;
-  Layout layout_ = Layout::Natural;
-  int layout_w_ = 0;
+  int ny_ = 0, nx_ = 0, stride_ = 0;
 };
 
 /// Non-owning view of a 3-D halo field: nz x ny x nx interior, rows
 /// `stride` doubles apart, planes `plane_stride` doubles apart.
-class FieldView3D {
+class FieldView3D : public detail::ViewBase {
  public:
   /// An empty view (valid() is false).
   FieldView3D() = default;
@@ -159,9 +163,8 @@ class FieldView3D {
   FieldView3D(double* interior, int nz, int ny, int nx, int stride,
               std::size_t plane_stride, int halo,
               Layout layout = Layout::Natural, int layout_width = 0)
-      : p_(interior), nz_(nz), ny_(ny), nx_(nx), stride_(stride),
-        plane_(plane_stride), halo_(halo), layout_(layout),
-        layout_w_(layout_width) {}
+      : ViewBase(interior, halo, layout, layout_width), nz_(nz), ny_(ny),
+        nx_(nx), stride_(stride), plane_(plane_stride) {}
 
   /// Interior plane count.
   int nz() const { return nz_; }
@@ -173,17 +176,6 @@ class FieldView3D {
   int stride() const { return stride_; }
   /// Distance between consecutive planes, in doubles.
   std::size_t plane_stride() const { return plane_; }
-  /// Addressable halo cells on each side of each dimension.
-  int halo() const { return halo_; }
-  /// Storage-order tag of the wrapped memory.
-  Layout layout() const { return layout_; }
-  /// SIMD width of the non-natural layout; see FieldView1D::layout_width().
-  int layout_width() const { return layout_w_; }
-  /// True when the view wraps memory (default-constructed views do not).
-  bool valid() const { return p_ != nullptr; }
-
-  /// Pointer to interior element (0,0,0).
-  double* data() const { return p_; }
   /// Pointer to interior element (z, y, 0); z/y may range over the halo.
   double* row(int z, int y) const {
     return p_ + static_cast<std::ptrdiff_t>(z) *
@@ -201,12 +193,8 @@ class FieldView3D {
   }
 
  private:
-  double* p_ = nullptr;
   int nz_ = 0, ny_ = 0, nx_ = 0, stride_ = 0;
   std::size_t plane_ = 0;
-  int halo_ = 0;
-  Layout layout_ = Layout::Natural;
-  int layout_w_ = 0;
 };
 
 }  // namespace sf

@@ -40,14 +40,12 @@ class Grid1D {
   double at(int i) const { return data()[i]; }
 
   /// Zero-copy view of this grid's storage (Layout::Natural). Views have
-  /// shallow-const semantics (see grid/field_view.hpp), so the const
-  /// overload still yields a writable view — it exists so borrowed grids
-  /// can be passed wherever executors expect views.
-  FieldView1D view() { return FieldView1D(data(), n_, halo_); }
+  /// shallow-const semantics (see grid/field_view.hpp), so even a const
+  /// grid yields a writable view — borrowed grids can be passed wherever
+  /// executors expect views.
   FieldView1D view() const {
     return FieldView1D(const_cast<Grid1D*>(this)->data(), n_, halo_);
   }
-  operator FieldView1D() { return view(); }
   operator FieldView1D() const { return view(); }
 
  private:
@@ -86,12 +84,10 @@ class Grid2D {
   double at(int y, int x) const { return row(y)[x]; }
 
   /// Zero-copy view of this grid's storage; see Grid1D::view().
-  FieldView2D view() { return FieldView2D(data(), ny_, nx_, stride_, halo_); }
   FieldView2D view() const {
     return FieldView2D(const_cast<Grid2D*>(this)->data(), ny_, nx_, stride_,
                        halo_);
   }
-  operator FieldView2D() { return view(); }
   operator FieldView2D() const { return view(); }
 
  private:
@@ -136,14 +132,10 @@ class Grid3D {
   double at(int z, int y, int x) const { return row(z, y)[x]; }
 
   /// Zero-copy view of this grid's storage; see Grid1D::view().
-  FieldView3D view() {
-    return FieldView3D(data(), nz_, ny_, nx_, stride_, plane_, halo_);
-  }
   FieldView3D view() const {
     return FieldView3D(const_cast<Grid3D*>(this)->data(), nz_, ny_, nx_,
                        stride_, plane_, halo_);
   }
-  operator FieldView3D() { return view(); }
   operator FieldView3D() const { return view(); }
 
  private:

@@ -7,93 +7,63 @@
 #include <random>
 
 #include "grid/grid.hpp"
+#include "grid/view_traits.hpp"
 
 namespace sf {
 
-/// Fills interior + halo with reproducible pseudo-random values in [-1, 1].
-inline void fill_random(const FieldView1D& g, std::uint64_t seed) {
+/// Fills interior + halo with reproducible pseudo-random values in [-1, 1],
+/// in storage order (z, then y, then x).
+template <class G>
+void fill_random(const G& g, std::uint64_t seed) {
+  const auto v = view_of(g);
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> d(-1.0, 1.0);
-  for (int i = -g.halo(); i < g.n() + g.halo(); ++i) g.at(i) = d(rng);
-}
-
-inline void fill_random(const FieldView2D& g, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    for (int x = -g.halo(); x < g.nx() + g.halo(); ++x) g.at(y, x) = d(rng);
-}
-
-inline void fill_random(const FieldView3D& g, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  for (int z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      for (int x = -g.halo(); x < g.nx() + g.halo(); ++x)
-        g.at(z, y, x) = d(rng);
+  for_each_row(v, v.halo(), -v.halo(), tiled_extent(v) + v.halo(),
+               [&](const auto& i, int x0, int x1, bool) {
+                 double* row = row_at(v, i);
+                 for (int x = x0; x < x1; ++x) row[x] = d(rng);
+               });
 }
 
 /// Copies interior and halo.
-inline void copy(const FieldView1D& src, const FieldView1D& dst) {
-  for (int i = -src.halo(); i < src.n() + src.halo(); ++i) dst.at(i) = src.at(i);
-}
-
-inline void copy(const FieldView2D& src, const FieldView2D& dst) {
-  for (int y = -src.halo(); y < src.ny() + src.halo(); ++y)
-    for (int x = -src.halo(); x < src.nx() + src.halo(); ++x)
-      dst.at(y, x) = src.at(y, x);
-}
-
-inline void copy(const FieldView3D& src, const FieldView3D& dst) {
-  for (int z = -src.halo(); z < src.nz() + src.halo(); ++z)
-    for (int y = -src.halo(); y < src.ny() + src.halo(); ++y)
-      for (int x = -src.halo(); x < src.nx() + src.halo(); ++x)
-        dst.at(z, y, x) = src.at(z, y, x);
+template <class G, class H>
+void copy(const G& src, const H& dst) {
+  const auto s = view_of(src);
+  const auto t = view_of(dst);
+  for_each_row(s, s.halo(), -s.halo(), tiled_extent(s) + s.halo(),
+               [&](const auto& i, int x0, int x1, bool) {
+                 const double* from = row_at(s, i);
+                 double* to = row_at(t, i);
+                 for (int x = x0; x < x1; ++x) to[x] = from[x];
+               });
 }
 
 /// Max |a-b| over the interior.
-inline double max_abs_diff(const FieldView1D& a, const FieldView1D& b) {
+template <class G, class H>
+double max_abs_diff(const G& a, const H& b) {
+  const auto u = view_of(a);
+  const auto v = view_of(b);
   double m = 0;
-  for (int i = 0; i < a.n(); ++i) m = std::max(m, std::fabs(a.at(i) - b.at(i)));
-  return m;
-}
-
-inline double max_abs_diff(const FieldView2D& a, const FieldView2D& b) {
-  double m = 0;
-  for (int y = 0; y < a.ny(); ++y)
-    for (int x = 0; x < a.nx(); ++x)
-      m = std::max(m, std::fabs(a.at(y, x) - b.at(y, x)));
-  return m;
-}
-
-inline double max_abs_diff(const FieldView3D& a, const FieldView3D& b) {
-  double m = 0;
-  for (int z = 0; z < a.nz(); ++z)
-    for (int y = 0; y < a.ny(); ++y)
-      for (int x = 0; x < a.nx(); ++x)
-        m = std::max(m, std::fabs(a.at(z, y, x) - b.at(z, y, x)));
+  for_each_row(u, 0, 0, tiled_extent(u),
+               [&](const auto& i, int x0, int x1, bool) {
+                 const double* p = row_at(u, i);
+                 const double* q = row_at(v, i);
+                 for (int x = x0; x < x1; ++x)
+                   m = std::max(m, std::fabs(p[x] - q[x]));
+               });
   return m;
 }
 
 /// Max |v| over the interior (for relative tolerances).
-inline double max_abs(const FieldView1D& a) {
+template <class G>
+double max_abs(const G& a) {
+  const auto u = view_of(a);
   double m = 0;
-  for (int i = 0; i < a.n(); ++i) m = std::max(m, std::fabs(a.at(i)));
-  return m;
-}
-
-inline double max_abs(const FieldView2D& a) {
-  double m = 0;
-  for (int y = 0; y < a.ny(); ++y)
-    for (int x = 0; x < a.nx(); ++x) m = std::max(m, std::fabs(a.at(y, x)));
-  return m;
-}
-
-inline double max_abs(const FieldView3D& a) {
-  double m = 0;
-  for (int z = 0; z < a.nz(); ++z)
-    for (int y = 0; y < a.ny(); ++y)
-      for (int x = 0; x < a.nx(); ++x) m = std::max(m, std::fabs(a.at(z, y, x)));
+  for_each_row(u, 0, 0, tiled_extent(u),
+               [&](const auto& i, int x0, int x1, bool) {
+                 const double* p = row_at(u, i);
+                 for (int x = x0; x < x1; ++x) m = std::max(m, std::fabs(p[x]));
+               });
   return m;
 }
 

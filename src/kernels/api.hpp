@@ -14,8 +14,7 @@
 //
 // Kernel lookup lives in kernels/registry.hpp: executors self-register with
 // capability metadata (dims, ISA, halo, fold depth) and are found by method
-// enum or string key. The kernel1d/2d/3d free functions below are thin
-// shims over that registry, kept for one release.
+// enum or string key.
 #pragma once
 
 #include <string>
@@ -48,15 +47,5 @@ using Run2D = void (*)(const Pattern2D& p, const FieldView2D& a,
                        const FieldView2D& b, int tsteps);
 using Run3D = void (*)(const Pattern3D& p, const FieldView3D& a,
                        const FieldView3D& b, int tsteps);
-
-/// Deprecated: registry shims. Use find_kernel() from kernels/registry.hpp.
-/// Throws std::invalid_argument for combinations that do not exist.
-Run1D kernel1d(Method m, Isa isa);
-Run2D kernel2d(Method m, Isa isa);
-Run3D kernel3d(Method m, Isa isa);
-
-/// Deprecated: method-wide worst-case halo (max over registered ISA levels).
-/// Use find_kernel(...)->required_halo(radius) for the per-kernel minimum.
-int required_halo(Method m, int pattern_radius);
 
 }  // namespace sf

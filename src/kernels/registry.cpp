@@ -137,28 +137,4 @@ const KernelInfo& require_kernel(std::string_view name, int dims, Isa isa) {
   return *k;
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated shims over the registry.
-// ---------------------------------------------------------------------------
-
-Run1D kernel1d(Method m, Isa isa) { return require_kernel(m, 1, isa).run1; }
-Run2D kernel2d(Method m, Isa isa) { return require_kernel(m, 2, isa).run2; }
-Run3D kernel3d(Method m, Isa isa) { return require_kernel(m, 3, isa).run3; }
-
-int required_halo(Method m, int pattern_radius) {
-  // Worst case over every registered ISA level of the method (callers that
-  // know their kernel should ask it directly: find_kernel(...)->
-  // required_halo(r)). Dimensionality does not affect the bound.
-  int h = 0;
-  bool found = false;
-  for (const KernelInfo* e : KernelRegistry::instance().all())
-    if (e->method == m) {
-      h = std::max(h, e->required_halo(pattern_radius));
-      found = true;
-    }
-  if (!found)  // pre-registration fallback: the seed's conservative bound
-    h = std::max(8, (m == Method::Ours2 ? 2 : 1) * pattern_radius);
-  return h;
-}
-
 }  // namespace sf

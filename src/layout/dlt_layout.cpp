@@ -3,6 +3,8 @@
 #include <cstring>
 #include <vector>
 
+#include "grid/view_traits.hpp"
+
 namespace sf {
 
 void row_to_dlt(double* row, int n, int w, double* scratch) {
@@ -27,43 +29,33 @@ std::vector<double>& tls_scratch(std::size_t n) {
   if (s.size() < n) s.resize(n);
   return s;
 }
+
+// Applies a row transform to every row of `g`. 2-D/3-D transforms include
+// halo rows/planes: kernels read y/z-neighbours of boundary rows through
+// the lifted index map, so those rows must be lifted too.
+template <class View>
+void lift_rows(const View& g, int w, void (*fn)(double*, int, int, double*)) {
+  const int nx = ViewTraits<View>::extents(g)[0];
+  auto& s = tls_scratch(static_cast<std::size_t>(nx));
+  for_each_row(g, g.halo(), -g.halo(), tiled_extent(g) + g.halo(),
+               [&](const auto& i, int, int, bool) {
+                 fn(row_at(g, i), nx, w, s.data());
+               });
+}
+
 }  // namespace
 
-void grid_to_dlt(const FieldView1D& g, int w) {
-  row_to_dlt(g.data(), g.n(), w, tls_scratch(g.n()).data());
-}
-
+void grid_to_dlt(const FieldView1D& g, int w) { lift_rows(g, w, row_to_dlt); }
 void grid_from_dlt(const FieldView1D& g, int w) {
-  row_from_dlt(g.data(), g.n(), w, tls_scratch(g.n()).data());
+  lift_rows(g, w, row_from_dlt);
 }
-
-// 2-D/3-D transforms include halo rows/planes: kernels read y/z-neighbours
-// of boundary rows through the lifted index map, so those rows must be
-// lifted too.
-void grid_to_dlt(const FieldView2D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    row_to_dlt(g.row(y), g.nx(), w, s.data());
-}
-
+void grid_to_dlt(const FieldView2D& g, int w) { lift_rows(g, w, row_to_dlt); }
 void grid_from_dlt(const FieldView2D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    row_from_dlt(g.row(y), g.nx(), w, s.data());
+  lift_rows(g, w, row_from_dlt);
 }
-
-void grid_to_dlt(const FieldView3D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_to_dlt(g.row(z, y), g.nx(), w, s.data());
-}
-
+void grid_to_dlt(const FieldView3D& g, int w) { lift_rows(g, w, row_to_dlt); }
 void grid_from_dlt(const FieldView3D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_from_dlt(g.row(z, y), g.nx(), w, s.data());
+  lift_rows(g, w, row_from_dlt);
 }
 
 }  // namespace sf

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "grid/grid.hpp"
+#include "grid/view_traits.hpp"
 #include "simd/transpose.hpp"
 
 namespace sf {
@@ -36,59 +37,43 @@ inline void row_transpose_layout(double* row, int n) {
   for (int b = 0; b < nb; ++b) simd::transpose_block_inplace<W>(row + b * W * W);
 }
 
-template <int W>
-inline void grid_transpose_layout(const FieldView1D& g) {
-  row_transpose_layout<W>(g.data(), g.n());
+/// Slab form of the transform: transposes the rows of `g` whose outermost
+/// index (y in 2-D, z in 3-D) lies in [lo, hi), halo rows/planes included
+/// (logical indices; halo at negative values). Rows are independent, so
+/// disjoint slabs may run concurrently — the pool-parallel
+/// to_resident_layout and the pipelined wedge prologue split the tiled axis
+/// over the placement map with each worker transforming its own tiles. In
+/// 1-D the one row is transformed whole (ViewTraits::slab_transform).
+template <int W, class View>
+inline void grid_transpose_layout_slab(const View& g, long lo, long hi) {
+  const int nx = ViewTraits<View>::extents(g)[0];
+  for_each_row(g, g.halo(), lo, hi, [&](const auto& i, int, int, bool) {
+    row_transpose_layout<W>(row_at(g, i), nx);
+  });
 }
 
-/// 2-D/3-D transforms include the *halo rows/planes*: kernels read
-/// y/z-neighbours of boundary rows through layout-aware views, so every row
-/// a kernel can touch must be in the same layout. (Column halo stays in
-/// original order — tl_index maps it to itself.)
-template <int W>
-inline void grid_transpose_layout(const FieldView2D& g) {
-  for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    row_transpose_layout<W>(g.row(y), g.nx());
+/// Runtime-width dispatch of grid_transpose_layout_slab() (`View` is
+/// FieldView1D, FieldView2D or FieldView3D).
+template <class View>
+void apply_transpose_layout_slab(const View& g, int w, long lo, long hi);
+
+/// Whole-field transform of a view or Grid: every row, halo rows/planes
+/// included — kernels read y/z-neighbours of boundary rows through
+/// layout-aware views, so every row a kernel can touch must be in the same
+/// layout. (Column halo stays in original order — tl_index maps it to
+/// itself.)
+template <int W, class G>
+inline void grid_transpose_layout(const G& g) {
+  const auto v = view_of(g);
+  grid_transpose_layout_slab<W>(v, -v.halo(), tiled_extent(v) + v.halo());
 }
 
-template <int W>
-inline void grid_transpose_layout(const FieldView3D& g) {
-  for (int z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_transpose_layout<W>(g.row(z, y), g.nx());
+/// Runtime-width dispatch of grid_transpose_layout() (W in {1,4,8}); W = 1
+/// is a no-op.
+template <class G>
+void apply_transpose_layout(const G& g, int w) {
+  const auto v = view_of(g);
+  apply_transpose_layout_slab(v, w, -v.halo(), tiled_extent(v) + v.halo());
 }
-
-/// Row-range form of the 2-D transform: transposes rows y in [y0, y1) only
-/// (logical indices; halo rows at negative y). Rows are independent, so
-/// disjoint ranges may run concurrently — the pool-parallel
-/// to_resident_layout splits the row space over the placement map with each
-/// worker transforming the rows of its own tiles.
-template <int W>
-inline void grid_transpose_layout_rows(const FieldView2D& g, int y0, int y1) {
-  for (int y = y0; y < y1; ++y)
-    row_transpose_layout<W>(g.row(y), g.nx());
-}
-
-/// Plane-range form of the 3-D transform: transposes planes z in [z0, z1)
-/// only (logical indices; halo planes at negative z). See
-/// grid_transpose_layout_rows().
-template <int W>
-inline void grid_transpose_layout_planes(const FieldView3D& g, int z0,
-                                         int z1) {
-  for (int z = z0; z < z1; ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_transpose_layout<W>(g.row(z, y), g.nx());
-}
-
-/// Runtime-width dispatch (W in {1,4,8}); W = 1 is a no-op.
-void apply_transpose_layout(const FieldView1D& g, int w);
-void apply_transpose_layout(const FieldView2D& g, int w);
-void apply_transpose_layout(const FieldView3D& g, int w);
-
-/// Runtime-width dispatch of grid_transpose_layout_rows().
-void apply_transpose_layout_rows(const FieldView2D& g, int w, int y0, int y1);
-/// Runtime-width dispatch of grid_transpose_layout_planes().
-void apply_transpose_layout_planes(const FieldView3D& g, int w, int z0,
-                                   int z1);
 
 }  // namespace sf

@@ -7,9 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -38,16 +40,21 @@ double seconds_between(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// A request's views: the ping-pong pair and, in 1-D, the source array
+/// (a default, invalid view when absent).
+template <class View>
+struct Views {
+  View a, b, k;
+};
+
 /// One accepted submission, heap-allocated by submit() and owned by the
 /// dispatcher from the moment it enters the ring. The views stay borrowed
 /// from the caller (the zero-copy contract); only the small request record
 /// itself is allocated.
 struct Request {
   PreparedStencil ps;
-  int dims = 0;
-  FieldView1D a1, b1, k1;
-  FieldView2D a2, b2;
-  FieldView3D a3, b3;
+  std::variant<Views<FieldView1D>, Views<FieldView2D>, Views<FieldView3D>>
+      views;
   int nsteps = 0;
   std::string tenant;
   std::uint64_t plan = 0;  // the handle's plan_key (tenant plan budget)
@@ -218,8 +225,8 @@ struct Server::Impl {
     return p.get_future();
   }
 
-  /// Admission + enqueue shared by every submit() overload. Takes ownership
-  /// of `req` (deletes it on rejection).
+  /// Admission + enqueue behind submit(). Takes ownership of `req`
+  /// (deletes it on rejection).
   std::future<ServeResult> admit(Request* req) {
     telemetry::Span span("serve.submit");
     // relaxed: stats tally (see reject()).
@@ -320,31 +327,20 @@ struct Server::Impl {
     try {
       Request& lead = *group[0];
       // Group members share a plan key, so any member's handle describes
-      // the whole group's geometry and pool; execute through the leader's.
-      switch (lead.dims) {
-        case 1: {
-          std::vector<TileBatch1D> items;
-          items.reserve(group.size());
-          for (Request* r : group)
-            items.push_back({r->a1, r->b1, r->k1.valid() ? &r->k1 : nullptr});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-        case 2: {
-          std::vector<TileBatch2D> items;
-          items.reserve(group.size());
-          for (Request* r : group) items.push_back({r->a2, r->b2});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-        default: {
-          std::vector<TileBatch3D> items;
-          items.reserve(group.size());
-          for (Request* r : group) items.push_back({r->a3, r->b3});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-      }
+      // the whole group's geometry, dimensionality and pool; execute
+      // through the leader's.
+      std::visit(
+          [&](const auto& lead_views) {
+            using V = std::decay_t<decltype(lead_views)>;
+            std::vector<TileBatch<decltype(V::a)>> items;
+            items.reserve(group.size());
+            for (Request* r : group) {
+              const V& v = std::get<V>(r->views);
+              items.push_back({v.a, v.b, v.k.valid() ? &v.k : nullptr});
+            }
+            lead.ps.advance_batch(items, lead.nsteps);
+          },
+          lead.views);
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
@@ -492,8 +488,8 @@ Server::~Server() {
 
 namespace {
 
-/// Builds the request record common to every overload; returns null and a
-/// rejection message when validation fails.
+/// Builds the request record; returns null and a rejection message when
+/// the handle is empty.
 Request* make_request(const std::string& tenant, const PreparedStencil& ps,
                       int nsteps, std::string* why) {
   if (!ps.valid()) {
@@ -513,94 +509,48 @@ Request* make_request(const std::string& tenant, const PreparedStencil& ps,
 
 }  // namespace
 
-std::future<ServeResult> Server::submit(const std::string& tenant,
-                                        const PreparedStencil& ps,
-                                        FieldView1D a, FieldView1D b,
-                                        int nsteps) {
-  return submit(tenant, ps, a, b, FieldView1D{}, nsteps);
+template <class View>
+std::future<ServeResult> Server::submit_views(const std::string& tenant,
+                                              const PreparedStencil& ps,
+                                              const View& a, const View& b,
+                                              const View* k, int nsteps) {
+  std::string why;
+  Request* r = make_request(tenant, ps, nsteps, &why);
+  if (r != nullptr) {
+    try {
+      ps.validate_views(a, b, k);
+    } catch (const std::invalid_argument& e) {
+      delete r;
+      r = nullptr;
+      why = e.what();
+    }
+  }
+  if (r == nullptr) {
+    // relaxed: stats tally (see Impl::reject()).
+    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
+    impl_->t_submitted.add(1);
+    return impl_->reject(Reject::BadRequest, why);
+  }
+  r->views = Views<View>{a, b, k != nullptr ? *k : View{}};
+  return impl_->admit(r);
 }
 
 std::future<ServeResult> Server::submit(const std::string& tenant,
                                         const PreparedStencil& ps,
                                         FieldView1D a, FieldView1D b,
                                         FieldView1D k, int nsteps) {
-  std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b, k.valid() ? &k : nullptr);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 1;
-  r->a1 = a;
-  r->b1 = b;
-  r->k1 = k;
-  return impl_->admit(r);
+  return submit_views(tenant, ps, a, b, k.valid() ? &k : nullptr, nsteps);
 }
 
-std::future<ServeResult> Server::submit(const std::string& tenant,
-                                        const PreparedStencil& ps,
-                                        FieldView2D a, FieldView2D b,
-                                        int nsteps) {
-  std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 2;
-  r->a2 = a;
-  r->b2 = b;
-  return impl_->admit(r);
-}
-
-std::future<ServeResult> Server::submit(const std::string& tenant,
-                                        const PreparedStencil& ps,
-                                        FieldView3D a, FieldView3D b,
-                                        int nsteps) {
-  std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 3;
-  r->a3 = a;
-  r->b3 = b;
-  return impl_->admit(r);
-}
+template std::future<ServeResult> Server::submit_views(
+    const std::string&, const PreparedStencil&, const FieldView1D&,
+    const FieldView1D&, const FieldView1D*, int);
+template std::future<ServeResult> Server::submit_views(
+    const std::string&, const PreparedStencil&, const FieldView2D&,
+    const FieldView2D&, const FieldView2D*, int);
+template std::future<ServeResult> Server::submit_views(
+    const std::string&, const PreparedStencil&, const FieldView3D&,
+    const FieldView3D&, const FieldView3D*, int);
 
 void Server::drain() {
   UniqueLock lock(impl_->done_mu);

@@ -10,7 +10,7 @@
 /// one PreparedStencil::advance_batch() call — one pool dispatch advancing
 /// the whole batch, amortizing dispatch and barrier cost the same way
 /// resident layouts amortize the transpose involution. Results are bitwise
-/// identical to per-request advance() calls (see run_tile_plan_batch).
+/// identical to per-request run() calls (see run_tile_plan_batch).
 ///
 /// Admission control is explicit rather than implicit latency: the ring is
 /// bounded (ServerOptions::queue_capacity), and a full ring rejects with
@@ -37,6 +37,7 @@
 #include <string>
 
 #include "core/engine.hpp"
+#include "grid/view_traits.hpp"
 
 namespace sf {
 
@@ -102,7 +103,7 @@ struct ServerStats {
   long completed = 0;  ///< Requests executed successfully.
   long failed = 0;     ///< Requests whose batch threw during execution.
   long rejected = 0;   ///< Requests refused at admission.
-  long batches = 0;    ///< advance_batch()/advance() dispatches issued.
+  long batches = 0;    ///< advance_batch() dispatches issued.
   int max_batch = 0;   ///< Largest same-plan batch executed so far.
 };
 
@@ -124,27 +125,24 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Submits a 1-D source-free advance of `nsteps` steps on caller-owned
-  /// views (semantics of PreparedStencil::advance(); result lands in `a`).
-  /// `tenant` names the budget bucket the request is accounted against.
-  /// The returned future is satisfied when the request completes — or
-  /// immediately with ServeResult::rejected set when admission refuses it.
-  /// The caller keeps `a`/`b` alive and untouched until then.
+  /// Submits a source-free advance of `nsteps` steps on caller-owned views
+  /// (semantics of PreparedStencil::run(); result lands in `a`). `G` is a
+  /// FieldView1D/2D/3D or a Grid converting to one. `tenant` names the
+  /// budget bucket the request is accounted against. The returned future
+  /// is satisfied when the request completes — or immediately with
+  /// ServeResult::rejected set when admission refuses it. The caller keeps
+  /// `a`/`b` alive and untouched until then.
+  template <class G>
   std::future<ServeResult> submit(const std::string& tenant,
-                                  const PreparedStencil& ps, FieldView1D a,
-                                  FieldView1D b, int nsteps);
+                                  const PreparedStencil& ps, const G& a,
+                                  const G& b, int nsteps) {
+    return submit_views<decltype(view_of(a))>(tenant, ps, view_of(a),
+                                              view_of(b), nullptr, nsteps);
+  }
   /// 1-D submit with the APOP time-invariant source array `k`.
   std::future<ServeResult> submit(const std::string& tenant,
                                   const PreparedStencil& ps, FieldView1D a,
                                   FieldView1D b, FieldView1D k, int nsteps);
-  /// 2-D submit; see the 1-D overload.
-  std::future<ServeResult> submit(const std::string& tenant,
-                                  const PreparedStencil& ps, FieldView2D a,
-                                  FieldView2D b, int nsteps);
-  /// 3-D submit; see the 1-D overload.
-  std::future<ServeResult> submit(const std::string& tenant,
-                                  const PreparedStencil& ps, FieldView3D a,
-                                  FieldView3D b, int nsteps);
 
   /// Blocks until every request accepted so far has completed (the queue is
   /// empty and nothing is executing). New submits during a drain() are
@@ -163,6 +161,14 @@ class Server {
 
  private:
   struct Impl;
+  /// The one body behind the submit() overloads; `k` is the 1-D source
+  /// array (null when absent).
+  template <class View>
+  std::future<ServeResult> submit_views(const std::string& tenant,
+                                        const PreparedStencil& ps,
+                                        const View& a, const View& b,
+                                        const View* k, int nsteps);
+
   std::unique_ptr<Impl> impl_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "fold/folding_plan.hpp"
@@ -337,288 +338,331 @@ void tl_folded_region_step_1d(const Pattern1D& p, const Pattern1D& lam,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Per-dimension stages of the tiled engine
+// ---------------------------------------------------------------------------
+
+/// The per-dimension step functions behind the 2-D/3-D Stage.
+template <class View>
+struct StageKernels;
+
+/// The 2-D row-range step functions (tiled axis y).
+template <>
+struct StageKernels<FieldView2D> {
+  template <int W>
+  static void step_tl(const Pattern2D& p, const FieldView2D& in,
+                      const FieldView2D& out, int lo, int hi) {
+    step_rows_tl2d<W>(p, in, out, lo, hi);
+  }
+  template <int W>
+  static void step_dlt(const Pattern2D& p, const FieldView2D& in,
+                       const FieldView2D& out, int lo, int hi) {
+    step_rows_dlt2d<W>(p, in, out, lo, hi);
+  }
+  template <int W>
+  static void folded(const Pattern2D& p, const FoldingPlan& plan,
+                     const Pattern2D& lam, const FieldView2D& in,
+                     const FieldView2D& out, WorkerPool*, int, int lo,
+                     int hi) {
+    folded2d_advance<W>(p, plan, lam, in, out, /*reuse=*/true, lo, hi);
+  }
+  template <int W>
+  static void step_whole(const Pattern2D& p, const FieldView2D& in,
+                         const FieldView2D& out) {
+    step_region_ml2d<W>(p, in, out, 0, in.ny(), 0, in.nx());
+  }
+  static void naive(const Pattern2D& p, const FieldView2D& in,
+                    const FieldView2D& out, int lo, int hi) {
+    apply_pattern(p, in, out, lo, hi, 0, in.nx());
+  }
+  /// The folded 2-D advance keeps no per-worker window.
+  static detail::Folded3DWindowShape window_shape(const FoldingPlan&, int,
+                                                  int) {
+    return {};
+  }
+};
+
+/// The 3-D plane-range step functions (tiled axis z).
+template <>
+struct StageKernels<FieldView3D> {
+  template <int W>
+  static void step_tl(const Pattern3D& p, const FieldView3D& in,
+                      const FieldView3D& out, int lo, int hi) {
+    step_planes_tl3d<W>(p, in, out, lo, hi);
+  }
+  template <int W>
+  static void step_dlt(const Pattern3D& p, const FieldView3D& in,
+                       const FieldView3D& out, int lo, int hi) {
+    step_planes_dlt3d<W>(p, in, out, lo, hi);
+  }
+  template <int W>
+  static void folded(const Pattern3D& p, const FoldingPlan& plan,
+                     const Pattern3D& lam, const FieldView3D& in,
+                     const FieldView3D& out, WorkerPool* pool, int wk, int lo,
+                     int hi) {
+    // The sliding plane window lives in the owning worker's pool arena
+    // (allocated there by the pipelined prologue, so its pages sit on the
+    // worker's NUMA node). The serial walk (wk == -1) uses a
+    // calling-thread-local window.
+    thread_local std::vector<AlignedBuffer> tls_window;
+    std::vector<AlignedBuffer>& window =
+        pool != nullptr && wk >= 0 ? pool->arena(wk) : tls_window;
+    folded3d_advance<W>(p, plan, lam, in, out, window, lo, hi);
+  }
+  template <int W>
+  static void step_whole(const Pattern3D& p, const FieldView3D& in,
+                         const FieldView3D& out) {
+    step_region_ml3d<W>(p, in, out, 0, in.nz(), 0, in.ny(), 0, in.nx());
+  }
+  static void naive(const Pattern3D& p, const FieldView3D& in,
+                    const FieldView3D& out, int lo, int hi) {
+    apply_pattern(p, in, out, lo, hi, 0, in.ny(), 0, in.nx());
+  }
+  static detail::Folded3DWindowShape window_shape(const FoldingPlan& plan,
+                                                  int nx, int W) {
+    return detail::folded3d_window_shape(plan, nx, W);
+  }
+};
+
+/// What a tiled run does around and inside the wedge schedule, for one
+/// view type: the constructor moves the pair into the method's working
+/// layout, step() advances one super-step over [lo, hi) of the tiled axis,
+/// remainder() takes one plain step over the whole domain (the odd step of
+/// a folded run), prologue() is the pipelined schedule's per-worker slot
+/// (see wedge_schedule) and finish() restores the caller's layout. The
+/// primary template serves 2-D and 3-D through StageKernels; 1-D is the
+/// specialization below.
+template <int W, class View>
+class Stage {
+  using K = StageKernels<View>;
+  using P = Pattern<ViewTraits<View>::dims>;
+
+ public:
+  Stage(const P& p, const View& a, const View& b, const Pattern1D*,
+        const View*, Method mth, const WedgePlan& w, WorkerPool* pool)
+      : p_(p), a_(a), b_(b), mth_(mth), pool_(pool), tile_(w.tile),
+        dlt_(mth == Method::DLT),
+        to_layout_(mth == Method::Ours && a.layout() != Layout::Transposed),
+        // Pipelined blocked runs fold the to-layout transform into the
+        // schedule itself (each worker transposes its own rows/planes as
+        // the wedge prologue) instead of serializing it in front of the
+        // first stage.
+        overlap_layout_(to_layout_ && w.blocked && pipelined_schedule(pool)),
+        plan_(mth == Method::Ours2 ? plan_folding(p, 2) : FoldingPlan{}),
+        lam_(power(p, 2)) {
+    if (to_layout_ && !overlap_layout_) {
+      grid_transpose_layout<W>(a);
+      grid_transpose_layout<W>(b);
+    } else if (dlt_) {
+      grid_to_dlt(a, W);
+      grid_to_dlt(b, W);
+    }
+    // Pipelined folded runs first-touch the per-worker window (3-D only) in
+    // the prologue slot that already overlaps the first super-step — the
+    // same down(0) transitive wait orders it, so no extra sync edge and no
+    // separate pool dispatch ahead of the run.
+    if (mth == Method::Ours2 && w.blocked && pipelined_schedule(pool))
+      window_ = K::window_shape(plan_, a.nx(), W);
+  }
+
+  void step(const View& in, const View& out, int lo, int hi, int wk) const {
+    switch (mth_) {
+      case Method::Ours:
+        K::template step_tl<W>(p_, in, out, lo, hi);
+        break;
+      case Method::Ours2:
+        K::template folded<W>(p_, plan_, lam_, in, out, pool_, wk, lo, hi);
+        break;
+      case Method::DLT:
+        K::template step_dlt<W>(p_, in, out, lo, hi);
+        break;
+      default:
+        K::naive(p_, in, out, lo, hi);
+        break;
+    }
+  }
+
+  void remainder(const View& in, const View& out) const {
+    K::template step_whole<W>(p_, in, out);
+  }
+
+  std::function<void(int, int, int)> prologue() const {
+    if (!overlap_layout_ && window_.nbufs == 0) return {};
+    return [this](int t0, int t1, int wk) {
+      if (window_.nbufs > 0)
+        pool_->ensure_arena_local(wk, window_.nbufs, window_.doubles);
+      if (!overlap_layout_ || t0 >= t1) return;
+      // Own rows/planes plus the halo ones attached to the domain-end
+      // tiles: the up stage reads neighbours of boundary rows, and both
+      // parity buffers serve as the read level at some stage.
+      const int n = tiled_extent(a_);
+      const int lo = t0 == 0 ? -a_.halo() : t0 * tile_;
+      const int hi = t1 * tile_ >= n ? n + a_.halo() : t1 * tile_;
+      grid_transpose_layout_slab<W>(a_, lo, hi);
+      grid_transpose_layout_slab<W>(b_, lo, hi);
+    };
+  }
+
+  void finish() const {
+    if (to_layout_) {
+      grid_transpose_layout<W>(a_);
+      grid_transpose_layout<W>(b_);
+    } else if (dlt_) {
+      grid_from_dlt(a_, W);
+      grid_from_dlt(b_, W);
+    }
+  }
+
+ private:
+  const P& p_;
+  const View& a_;
+  const View& b_;
+  Method mth_;
+  WorkerPool* pool_;
+  int tile_;
+  bool dlt_, to_layout_, overlap_layout_;
+  FoldingPlan plan_;
+  P lam_;
+  detail::Folded3DWindowShape window_;
+};
+
+/// 1-D: the register-transpose methods (ours and the folded ours-2step)
+/// work on a transposed `a` (the scratch interior is written before it is
+/// read) and the APOP source term rides along.
+template <int W>
+class Stage<W, FieldView1D> {
+ public:
+  Stage(const Pattern1D& p, const FieldView1D& a, const FieldView1D&,
+        const Pattern1D* src, const FieldView1D* k, Method mth,
+        const WedgePlan&, WorkerPool*)
+      : p_(p), a_(a), src_(src), k_(k), mth_(mth), n_(a.n()),
+        tl_(mth == Method::Ours || mth == Method::Ours2),
+        // Transposed-resident views (core/engine.hpp) are already in
+        // layout — skip the per-run involution, and read a resident source
+        // array zero-copy instead of through a transformed private copy.
+        to_layout_(tl_ && a.layout() != Layout::Transposed),
+        ks_(k, /*to_layout=*/tl_),
+        lam_(power(p, 2)) {
+    if (src != nullptr) fsrc_ = compose(power_sum(p, 2), *src);
+    if (to_layout_) grid_transpose_layout<W>(a);
+  }
+
+  void step(const FieldView1D& in, const FieldView1D& out, int lo, int hi,
+            int) const {
+    switch (mth_) {
+      case Method::Ours:
+        tl_region_step_1d<W>(p_, src_, ks_.data, n_, in.data(), out.data(),
+                             lo, hi);
+        break;
+      case Method::Ours2:
+        tl_folded_region_step_1d<W>(p_, lam_, src_,
+                                    src_ != nullptr ? &fsrc_ : nullptr,
+                                    ks_.data, n_, in.data(), out.data(), lo,
+                                    hi);
+        break;
+      default:
+        apply_pattern(p_, in, out, lo, hi);
+        if (src_ != nullptr && k_ != nullptr) {
+          // Source reads must match the active layout (none here: Naive).
+          add_source(*src_, *k_, out, lo, hi);
+        }
+        break;
+    }
+  }
+
+  void remainder(const FieldView1D& in, const FieldView1D& out) const {
+    tl_region_step_1d<W>(p_, src_, ks_.data, n_, in.data(), out.data(), 0,
+                         n_);
+  }
+
+  std::function<void(int, int, int)> prologue() const { return {}; }
+
+  void finish() const {
+    if (to_layout_) grid_transpose_layout<W>(a_);
+  }
+
+ private:
+  const Pattern1D& p_;
+  const FieldView1D& a_;
+  const Pattern1D* src_;
+  const FieldView1D* k_;
+  Method mth_;
+  int n_;
+  bool tl_, to_layout_;
+  StagedSource1D<W> ks_;
+  Pattern1D lam_, fsrc_;
+};
+
+/// The one tiled run, every dimensionality: negotiate the wedge plan,
+/// enter the working layout, run the wedge schedule (or plain full sweeps
+/// when the domain is too small to block), take the folded run's odd
+/// remainder step, land the result in `a` and restore the layout.
 /// `serial` forces the whole run onto the calling thread (no pool
 /// dispatch): the batched entry runs each item this way on the pool worker
 /// that owns it, without a pool lookup per item. The wedge geometry is
 /// negotiated identically either way, so serial and pooled runs are
 /// bitwise identical.
-template <int W>
-void tiled1d_impl(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-                  const FieldView1D* k, int tsteps, const TilePlan& opt,
-                  bool serial = false) {
-  const int n = a.n();
-  const int r = p.radius();
-  const Method mth = opt.method;
-  const int m = mth == Method::Ours2 ? 2 : 1;
-
-  // Layout setup. Transposed-resident views (core/engine.hpp) are already
-  // in layout — skip the per-run involution, and read a resident source
-  // array zero-copy instead of through a transformed private copy.
-  const bool tl = mth == Method::Ours || mth == Method::Ours2;
-  const bool resident = tl && a.layout() == Layout::Transposed;
-  StagedSource1D<W> ks(k, /*to_layout=*/tl);
-  const double* kk = ks.data;
-  if (tl && !resident) grid_transpose_layout<W>(a);
-
-  const Pattern1D lam = power(p, 2);
-  Pattern1D fsrc;
-  if (src != nullptr) fsrc = compose(power_sum(p, 2), *src);
-
-  const int n_tiled = n;
-  const int slope_local = m * r;
+template <int W, class View>
+void tiled_impl(const Pattern<ViewTraits<View>::dims>& p, const View& a,
+                const View& b, const Pattern1D* src, const View* k,
+                int tsteps, const TilePlan& opt, bool serial) {
+  const int m = opt.method == Method::Ours2 ? 2 : 1;
   const int super = tsteps / m;
   const int rem = tsteps - super * m;
-  WedgePlan w = make_plan(n_tiled, slope_local, super, opt, m,
-                          sizeof(double));
+  const int n = tiled_extent(a);
+  const WedgePlan w =
+      make_plan(n, m * p.radius(), super, opt, m,
+                static_cast<long>(sizeof(double)) * slice_cells(a));
   const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
-
-  auto adv = [&](const FieldView1D& in, const FieldView1D& out, int lo, int hi,
-                 int) {
-    switch (mth) {
-      case Method::Ours:
-        tl_region_step_1d<W>(p, src, kk, n, in.data(), out.data(), lo, hi);
-        break;
-      case Method::Ours2:
-        tl_folded_region_step_1d<W>(p, lam, src, src != nullptr ? &fsrc : nullptr,
-                                    kk, n, in.data(), out.data(), lo, hi);
-        break;
-      default:
-        apply_pattern(p, in, out, lo, hi);
-        if (src != nullptr && k != nullptr) {
-          // Source reads must match the active layout (none here: Naive).
-          add_source(*src, *k, out, lo, hi);
-        }
-        break;
-    }
+  const Stage<W, View> stage(p, a, b, src, k, opt.method, w, pool.get());
+  auto adv = [&](const View& in, const View& out, int lo, int hi, int wk) {
+    stage.step(in, out, lo, hi, wk);
   };
 
   int cursor = 0;
+  const View* bufs[2] = {&a, &b};
   if (w.blocked) {
-    cursor = wedge_schedule(a, b, w, super, adv, pool.get());
+    cursor = wedge_schedule(a, b, w, super, adv, pool.get(), stage.prologue());
   } else {
     // Domain too small to tile: plain full sweeps.
-    const FieldView1D* bufs[2] = {&a, &b};
     for (int s = 0; s < super; ++s) {
-      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, n_tiled, -1);
+      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, n, -1);
       cursor ^= 1;
     }
   }
   // Remainder single steps (folded runs only).
-  const FieldView1D* bufs[2] = {&a, &b};
   for (int t = 0; t < rem; ++t) {
-    tl_region_step_1d<W>(p, src, kk, n, bufs[cursor]->data(),
-                         bufs[cursor ^ 1]->data(), 0, n);
+    stage.remainder(*bufs[cursor], *bufs[cursor ^ 1]);
     cursor ^= 1;
   }
   if (cursor != 0) copy_interior(b, a);
-
-  if (tl && !resident) grid_transpose_layout<W>(a);
+  stage.finish();
 }
 
-// ---------------------------------------------------------------------------
-// 2-D (tiled dimension: y, rows [lo, hi))
-// ---------------------------------------------------------------------------
-/// `serial`: see tiled1d_impl().
-template <int W>
-void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-                  const TilePlan& opt, bool serial = false) {
-  const int ny = a.ny(), nx = a.nx();
-  const int r = p.radius();
-  const Method mth = opt.method;
-  const int m = mth == Method::Ours2 ? 2 : 1;
-
-  const bool tl = mth == Method::Ours;
-  const bool dlt = mth == Method::DLT;
-  const bool resident = tl && a.layout() == Layout::Transposed;
-
-  const int super = tsteps / m;
-  const int rem = tsteps - super * m;
-  WedgePlan w = make_plan(ny, m * r, super, opt, m,
-                          sizeof(double) * static_cast<long>(nx));
-  const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
-
-  // Pipelined blocked runs fold the to-layout transform into the schedule
-  // itself (each worker transposes its own rows as the wedge prologue — see
-  // wedge_schedule) instead of serializing it in front of the first stage.
-  const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(pool.get());
-  if (tl && !resident && !overlap_layout) {
-    grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_to_dlt(a, W);
-    grid_to_dlt(b, W);
-  }
-
-  const FoldingPlan plan = mth == Method::Ours2 ? plan_folding(p, 2) : FoldingPlan{};
-  const Pattern2D lam = power(p, 2);
-
-  auto adv = [&](const FieldView2D& in, const FieldView2D& out, int lo, int hi,
-                 int) {
-    switch (mth) {
-      case Method::Ours:
-        step_rows_tl2d<W>(p, in, out, lo, hi);
-        break;
-      case Method::Ours2:
-        folded2d_advance<W>(p, plan, lam, in, out, /*reuse=*/true, lo, hi);
-        break;
-      case Method::DLT:
-        step_rows_dlt2d<W>(p, in, out, lo, hi);
-        break;
-      default:
-        apply_pattern(p, in, out, lo, hi, 0, nx);
-        break;
-    }
-  };
-
-  int cursor = 0;
-  if (w.blocked) {
-    std::function<void(int, int, int)> prologue;
-    if (overlap_layout) {
-      prologue = [&](int t0, int t1, int) {
-        if (t0 >= t1) return;
-        // Own rows plus the halo rows attached to the domain-end tiles:
-        // the up stage reads y-neighbours of boundary rows, and both
-        // parity buffers serve as the read level at some stage.
-        const int y0 = t0 == 0 ? -a.halo() : t0 * w.tile;
-        const int y1 = t1 * w.tile >= ny ? ny + a.halo() : t1 * w.tile;
-        grid_transpose_layout_rows<W>(a, y0, y1);
-        grid_transpose_layout_rows<W>(b, y0, y1);
-      };
-    }
-    cursor = wedge_schedule(a, b, w, super, adv, pool.get(), prologue);
-  } else {
-    const FieldView2D* bufs[2] = {&a, &b};
-    for (int s = 0; s < super; ++s) {
-      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, ny, -1);
-      cursor ^= 1;
-    }
-  }
-  const FieldView2D* bufs[2] = {&a, &b};
-  for (int t = 0; t < rem; ++t) {
-    step_region_ml2d<W>(p, *bufs[cursor], *bufs[cursor ^ 1], 0, ny, 0, nx);
-    cursor ^= 1;
-  }
-  if (cursor != 0) copy_interior(b, a);
-
-  if (tl && !resident) {
-    grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_from_dlt(a, W);
-    grid_from_dlt(b, W);
+/// Calls `f(std::integral_constant<int, W>{})` for the SIMD width of `isa`.
+template <class F>
+void dispatch_width(Isa isa, F&& f) {
+  switch (isa_width(resolve_isa(isa))) {
+    case 8: f(std::integral_constant<int, 8>{}); break;
+    case 4: f(std::integral_constant<int, 4>{}); break;
+    default: f(std::integral_constant<int, 1>{}); break;
   }
 }
 
-// ---------------------------------------------------------------------------
-// 3-D (tiled dimension: z, planes [lo, hi))
-// ---------------------------------------------------------------------------
-/// `serial`: see tiled1d_impl().
-template <int W>
-void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-                  const TilePlan& opt, bool serial = false) {
-  const int nz = a.nz(), ny = a.ny(), nx = a.nx();
-  const int r = p.radius();
-  const Method mth = opt.method;
-  const int m = mth == Method::Ours2 ? 2 : 1;
-
-  const bool tl = mth == Method::Ours;
-  const bool dlt = mth == Method::DLT;
-  const bool resident = tl && a.layout() == Layout::Transposed;
-
-  const int super = tsteps / m;
-  const int rem = tsteps - super * m;
-  WedgePlan w = make_plan(
-      nz, m * r, super, opt, m,
-      sizeof(double) * static_cast<long>(ny) * static_cast<long>(nx));
-  const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
-
-  // See tiled2d_impl: pipelined blocked runs transpose per worker inside
-  // the schedule prologue instead of upfront.
-  const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(pool.get());
-  if (tl && !resident && !overlap_layout) {
-    grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_to_dlt(a, W);
-    grid_to_dlt(b, W);
-  }
-
-  const FoldingPlan plan = mth == Method::Ours2 ? plan_folding(p, 2) : FoldingPlan{};
-  const Pattern3D lam = power(p, 2);
-
-  auto adv = [&](const FieldView3D& in, const FieldView3D& out, int lo, int hi,
-                 int wk) {
-    switch (mth) {
-      case Method::Ours:
-        step_planes_tl3d<W>(p, in, out, lo, hi);
-        break;
-      case Method::Ours2: {
-        // The sliding plane window lives in the owning worker's pool arena
-        // (allocated there by the pipelined prologue, so its pages sit on
-        // the worker's NUMA node). The serial walk (wk == -1) uses a
-        // calling-thread-local window.
-        thread_local std::vector<AlignedBuffer> tls_window;
-        std::vector<AlignedBuffer>& window =
-            pool != nullptr && wk >= 0 ? pool->arena(wk) : tls_window;
-        folded3d_advance<W>(p, plan, lam, in, out, window, lo, hi);
-        break;
-      }
-      case Method::DLT:
-        step_planes_dlt3d<W>(p, in, out, lo, hi);
-        break;
-      default:
-        apply_pattern(p, in, out, lo, hi, 0, ny, 0, nx);
-        break;
-    }
-  };
-
-  int cursor = 0;
-  if (w.blocked) {
-    // Pipelined folded runs first-touch the per-worker plane window in the
-    // prologue slot that already overlaps the first super-step — the same
-    // down(0) transitive wait orders it, so no extra sync edge and no
-    // separate pool dispatch ahead of the run.
-    const bool overlap_arena = mth == Method::Ours2 && pool != nullptr &&
-                               pipelined_schedule(pool.get());
-    const detail::Folded3DWindowShape window_shape =
-        overlap_arena ? detail::folded3d_window_shape(plan, nx, W)
-                      : detail::Folded3DWindowShape{};
-    std::function<void(int, int, int)> prologue;
-    if (overlap_layout || overlap_arena) {
-      prologue = [&](int t0, int t1, int wk) {
-        if (overlap_arena)
-          pool->ensure_arena_local(wk, window_shape.nbufs,
-                                   window_shape.doubles);
-        if (!overlap_layout || t0 >= t1) return;
-        const int z0 = t0 == 0 ? -a.halo() : t0 * w.tile;
-        const int z1 = t1 * w.tile >= nz ? nz + a.halo() : t1 * w.tile;
-        grid_transpose_layout_planes<W>(a, z0, z1);
-        grid_transpose_layout_planes<W>(b, z0, z1);
-      };
-    }
-    cursor = wedge_schedule(a, b, w, super, adv, pool.get(), prologue);
+/// The batch fan-out: one pool dispatch laying `nitems` over the shared
+/// (threads, affinity) pool with the balanced_placement() ownership map;
+/// `run_item(i)` executes item i's complete serial lifecycle on its owning
+/// worker. Single-worker or single-item batches run inline on the caller.
+void fan_out_items(std::size_t nitems, const TilePlan& plan,
+                   const std::function<void(int)>& run_item) {
+  const int threads =
+      plan.threads > 0 ? plan.threads : hardware_threads();
+  if (threads > 1 && nitems > 1) {
+    shared_pool(threads, plan.affinity)
+        ->parallel_for(0, static_cast<int>(nitems), run_item);
   } else {
-    const FieldView3D* bufs[2] = {&a, &b};
-    for (int s = 0; s < super; ++s) {
-      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, nz, -1);
-      cursor ^= 1;
-    }
-  }
-  const FieldView3D* bufs[2] = {&a, &b};
-  for (int t = 0; t < rem; ++t) {
-    step_region_ml3d<W>(p, *bufs[cursor], *bufs[cursor ^ 1], 0, nz, 0, ny, 0, nx);
-    cursor ^= 1;
-  }
-  if (cursor != 0) copy_interior(b, a);
-
-  if (tl && !resident) {
-    grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_from_dlt(a, W);
-    grid_from_dlt(b, W);
+    for (std::size_t i = 0; i < nitems; ++i)
+      run_item(static_cast<int>(i));
   }
 }
 
@@ -672,149 +716,89 @@ bool tiled_path_engages(const KernelInfo& k, int radius, int src_radius,
   return true;
 }
 
-void run_tile_plan(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b,
-                   const Pattern1D* src, const FieldView1D* k, int tsteps,
-                   const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 1, plan.isa);
-  const int sr = src != nullptr ? src->radius() : 0;
+template <class View>
+void run_tile_plan(const Pattern<ViewTraits<View>::dims>& p, const View& a,
+                   const View& b, const Pattern1D* src, const View* k,
+                   int tsteps, const TilePlan& plan) {
+  const KernelInfo& info =
+      require_kernel(plan.method, ViewTraits<View>::dims, plan.isa);
   // 1-D DLT never engages (tiled_max_radius = -1): the lifted layout's seam
   // couples column 0 to column L-1 across lanes, so column tiles are not
   // spatially local and concurrent wedges would race on the seam. SDSL-1D
   // therefore runs the untiled lifted kernel (see DESIGN.md).
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), sr, a.n())) {
-    kernel1d(plan.method, plan.isa)(p, a, b, src, k, tsteps);
+  if (!tiled_path_engages(info, p.radius(),
+                          src != nullptr ? src->radius() : 0,
+                          ViewTraits<View>::extents(a)[0])) {
+    ViewTraits<View>::run(info, p, a, b, src, k, tsteps);
     return;
   }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled1d_impl<8>(p, a, b, src, k, tsteps, plan); break;
-    case 4: tiled1d_impl<4>(p, a, b, src, k, tsteps, plan); break;
-    default: tiled1d_impl<1>(p, a, b, src, k, tsteps, plan); break;
-  }
+  dispatch_width(plan.isa, [&](auto wc) {
+    tiled_impl<decltype(wc)::value>(p, a, b, src, k, tsteps, plan, false);
+  });
+}
+
+void run_tile_plan(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b,
+                   const Pattern1D* src, const FieldView1D* k, int tsteps,
+                   const TilePlan& plan) {
+  run_tile_plan<FieldView1D>(p, a, b, src, k, tsteps, plan);
 }
 
 void run_tile_plan(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
                    const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 2, plan.isa);
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), 0, a.nx())) {
-    kernel2d(plan.method, plan.isa)(p, a, b, tsteps);
-    return;
-  }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled2d_impl<8>(p, a, b, tsteps, plan); break;
-    case 4: tiled2d_impl<4>(p, a, b, tsteps, plan); break;
-    default: tiled2d_impl<1>(p, a, b, tsteps, plan); break;
-  }
+  run_tile_plan<FieldView2D>(p, a, b, nullptr, nullptr, tsteps, plan);
 }
 
 void run_tile_plan(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
                    const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 3, plan.isa);
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), 0, a.nx())) {
-    kernel3d(plan.method, plan.isa)(p, a, b, tsteps);
-    return;
-  }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled3d_impl<8>(p, a, b, tsteps, plan); break;
-    case 4: tiled3d_impl<4>(p, a, b, tsteps, plan); break;
-    default: tiled3d_impl<1>(p, a, b, tsteps, plan); break;
-  }
+  run_tile_plan<FieldView3D>(p, a, b, nullptr, nullptr, tsteps, plan);
 }
 
-namespace {
-
-/// The batch fan-out: one pool dispatch laying `nitems` over the shared
-/// (threads, affinity) pool with the balanced_placement() ownership map;
-/// `run_item(i)` executes item i's complete serial lifecycle on its owning
-/// worker. Single-worker or single-item batches run inline on the caller.
-void fan_out_items(std::size_t nitems, const TilePlan& plan,
-                   const std::function<void(int)>& run_item) {
-  const int threads =
-      plan.threads > 0 ? plan.threads : hardware_threads();
-  if (threads > 1 && nitems > 1) {
-    shared_pool(threads, plan.affinity)
-        ->parallel_for(0, static_cast<int>(nitems), run_item);
-  } else {
-    for (std::size_t i = 0; i < nitems; ++i)
-      run_item(static_cast<int>(i));
-  }
-}
-
-}  // namespace
-
-void run_tile_plan_batch(const Pattern1D& p, const std::vector<TileBatch1D>& items,
-                         const Pattern1D* src, int tsteps, const TilePlan& plan) {
+template <class View>
+void run_tile_plan_batch(const Pattern<ViewTraits<View>::dims>& p,
+                         const std::vector<TileBatch<View>>& items,
+                         const Pattern1D* src, int tsteps,
+                         const TilePlan& plan) {
   if (items.empty()) return;
   if (items.size() == 1) {
-    run_tile_plan(p, items[0].a, items[0].b, src, items[0].k, tsteps, plan);
+    run_tile_plan<View>(p, items[0].a, items[0].b, src, items[0].k, tsteps,
+                        plan);
     return;
   }
-  const KernelInfo* info = find_kernel(plan.method, 1, plan.isa);
-  const int sr = src != nullptr ? src->radius() : 0;
+  const KernelInfo& info =
+      require_kernel(plan.method, ViewTraits<View>::dims, plan.isa);
   const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), sr, items[0].a.n());
-  const int width = isa_width(resolve_isa(plan.isa));
+      tiled_path_engages(info, p.radius(), src != nullptr ? src->radius() : 0,
+                         ViewTraits<View>::extents(items[0].a)[0]);
   fan_out_items(items.size(), plan, [&](int i) {
-    const TileBatch1D& it = items[static_cast<std::size_t>(i)];
+    const TileBatch<View>& it = items[static_cast<std::size_t>(i)];
     if (!engages) {
-      kernel1d(plan.method, plan.isa)(p, it.a, it.b, src, it.k, tsteps);
+      ViewTraits<View>::run(info, p, it.a, it.b, src, it.k, tsteps);
       return;
     }
-    switch (width) {
-      case 8: tiled1d_impl<8>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-      case 4: tiled1d_impl<4>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-      default: tiled1d_impl<1>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-    }
+    dispatch_width(plan.isa, [&](auto wc) {
+      tiled_impl<decltype(wc)::value>(p, it.a, it.b, src, it.k, tsteps, plan,
+                                      true);
+    });
   });
 }
 
-void run_tile_plan_batch(const Pattern2D& p, const std::vector<TileBatch2D>& items,
-                         int tsteps, const TilePlan& plan) {
-  if (items.empty()) return;
-  if (items.size() == 1) {
-    run_tile_plan(p, items[0].a, items[0].b, tsteps, plan);
-    return;
-  }
-  const KernelInfo* info = find_kernel(plan.method, 2, plan.isa);
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), 0, items[0].a.nx());
-  const int width = isa_width(resolve_isa(plan.isa));
-  fan_out_items(items.size(), plan, [&](int i) {
-    const TileBatch2D& it = items[static_cast<std::size_t>(i)];
-    if (!engages) {
-      kernel2d(plan.method, plan.isa)(p, it.a, it.b, tsteps);
-      return;
-    }
-    switch (width) {
-      case 8: tiled2d_impl<8>(p, it.a, it.b, tsteps, plan, true); break;
-      case 4: tiled2d_impl<4>(p, it.a, it.b, tsteps, plan, true); break;
-      default: tiled2d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
-    }
-  });
-}
-
-void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& items,
-                         int tsteps, const TilePlan& plan) {
-  if (items.empty()) return;
-  if (items.size() == 1) {
-    run_tile_plan(p, items[0].a, items[0].b, tsteps, plan);
-    return;
-  }
-  const KernelInfo* info = find_kernel(plan.method, 3, plan.isa);
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), 0, items[0].a.nx());
-  const int width = isa_width(resolve_isa(plan.isa));
-  fan_out_items(items.size(), plan, [&](int i) {
-    const TileBatch3D& it = items[static_cast<std::size_t>(i)];
-    if (!engages) {
-      kernel3d(plan.method, plan.isa)(p, it.a, it.b, tsteps);
-      return;
-    }
-    switch (width) {
-      case 8: tiled3d_impl<8>(p, it.a, it.b, tsteps, plan, true); break;
-      case 4: tiled3d_impl<4>(p, it.a, it.b, tsteps, plan, true); break;
-      default: tiled3d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
-    }
-  });
-}
+template void run_tile_plan<FieldView1D>(const Pattern1D&, const FieldView1D&,
+                            const FieldView1D&, const Pattern1D*,
+                            const FieldView1D*, int, const TilePlan&);
+template void run_tile_plan<FieldView2D>(const Pattern2D&, const FieldView2D&,
+                            const FieldView2D&, const Pattern1D*,
+                            const FieldView2D*, int, const TilePlan&);
+template void run_tile_plan<FieldView3D>(const Pattern3D&, const FieldView3D&,
+                            const FieldView3D&, const Pattern1D*,
+                            const FieldView3D*, int, const TilePlan&);
+template void run_tile_plan_batch(const Pattern1D&,
+                                  const std::vector<TileBatch1D>&,
+                                  const Pattern1D*, int, const TilePlan&);
+template void run_tile_plan_batch(const Pattern2D&,
+                                  const std::vector<TileBatch2D>&,
+                                  const Pattern1D*, int, const TilePlan&);
+template void run_tile_plan_batch(const Pattern3D&,
+                                  const std::vector<TileBatch3D>&,
+                                  const Pattern1D*, int, const TilePlan&);
 
 }  // namespace sf

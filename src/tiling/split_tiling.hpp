@@ -34,6 +34,7 @@
 
 #include "common/cpu.hpp"
 #include "grid/grid.hpp"
+#include "grid/view_traits.hpp"
 #include "kernels/api.hpp"
 #include "kernels/registry.hpp"
 #include "runtime/worker_pool.hpp"
@@ -121,39 +122,42 @@ bool tiled_path_engages(const KernelInfo& k, int radius, int src_radius,
 /// Runs `tsteps` Jacobi steps with temporal split tiling; result in `a`.
 /// Geometry gaps in `plan` are negotiated (see negotiate_wedge); methods or
 /// shapes without an engaging tiled stage (see tiled_path_engages) fall
-/// back to the untiled kernel. The 1-D form optionally takes the APOP
-/// source pattern `src` over the time-invariant array `k`.
+/// back to the untiled kernel. Throws std::invalid_argument when no kernel
+/// is registered for the plan's (method, dimensionality, ISA). `View` is
+/// FieldView1D, FieldView2D or FieldView3D; the 1-D form optionally takes
+/// the APOP source pattern `src` over the time-invariant array `k` (both
+/// null otherwise, and always in 2-D/3-D, which tile along y/z).
+template <class View>
+void run_tile_plan(const Pattern<ViewTraits<View>::dims>& p, const View& a,
+                   const View& b, const Pattern1D* src, const View* k,
+                   int tsteps, const TilePlan& plan);
+/// 1-D spelling of run_tile_plan() (also accepts Grid1D, which converts).
 void run_tile_plan(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b,
                    const Pattern1D* src, const FieldView1D* k, int tsteps,
                    const TilePlan& plan);
-/// 2-D overload of run_tile_plan(); tiles along y.
+/// 2-D spelling of run_tile_plan(); tiles along y.
 void run_tile_plan(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
                    const TilePlan& plan);
-/// 3-D overload of run_tile_plan(); tiles along z.
+/// 3-D spelling of run_tile_plan(); tiles along z.
 void run_tile_plan(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
                    const TilePlan& plan);
 
-/// One grid of a batched 1-D tiling run: the ping/pong buffer pair plus the
+/// One grid of a batched tiling run: the ping/pong buffer pair plus the
 /// optional per-item APOP source array (`k` null when the pattern has no
-/// source term). All items of one batch share the Pattern and TilePlan but
-/// own distinct buffers.
-struct TileBatch1D {
-  FieldView1D a;                   ///< Ping buffer; holds the result.
-  FieldView1D b;                   ///< Pong buffer.
-  const FieldView1D* k = nullptr;  ///< Optional time-invariant source array.
+/// source term, and always in 2-D/3-D). All items of one batch share the
+/// Pattern and TilePlan but own distinct buffers.
+template <class View>
+struct TileBatch {
+  View a;                   ///< Ping buffer; holds the result.
+  View b;                   ///< Pong buffer.
+  const View* k = nullptr;  ///< Optional time-invariant source array.
 };
-
-/// One grid of a batched 2-D tiling run (ping/pong buffer pair).
-struct TileBatch2D {
-  FieldView2D a;  ///< Ping buffer; holds the result.
-  FieldView2D b;  ///< Pong buffer.
-};
-
-/// One grid of a batched 3-D tiling run (ping/pong buffer pair).
-struct TileBatch3D {
-  FieldView3D a;  ///< Ping buffer; holds the result.
-  FieldView3D b;  ///< Pong buffer.
-};
+/// One grid of a batched 1-D tiling run.
+using TileBatch1D = TileBatch<FieldView1D>;
+/// One grid of a batched 2-D tiling run.
+using TileBatch2D = TileBatch<FieldView2D>;
+/// One grid of a batched 3-D tiling run.
+using TileBatch3D = TileBatch<FieldView3D>;
 
 /// Advances every item of `items` by `tsteps` Jacobi steps in *one* pool
 /// dispatch: the batch is laid over the shared (threads, affinity) pool
@@ -170,15 +174,12 @@ struct TileBatch3D {
 /// the same negotiated wedge geometry and region math, merely on one worker
 /// instead of spread over the pool. A single-item batch degrades to exactly
 /// run_tile_plan(). The 1-D form optionally takes the APOP source pattern
-/// `src` read through each item's own `k` array.
-void run_tile_plan_batch(const Pattern1D& p, const std::vector<TileBatch1D>& items,
-                         const Pattern1D* src, int tsteps, const TilePlan& plan);
-/// 2-D overload of run_tile_plan_batch(); tiles along y.
-void run_tile_plan_batch(const Pattern2D& p, const std::vector<TileBatch2D>& items,
-                         int tsteps, const TilePlan& plan);
-/// 3-D overload of run_tile_plan_batch(); tiles along z.
-void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& items,
-                         int tsteps, const TilePlan& plan);
+/// `src` read through each item's own `k` array; `src` is null in 2-D/3-D.
+template <class View>
+void run_tile_plan_batch(const Pattern<ViewTraits<View>::dims>& p,
+                         const std::vector<TileBatch<View>>& items,
+                         const Pattern1D* src, int tsteps,
+                         const TilePlan& plan);
 
 /// The per-element update levels after one up-stage (triangles) and one
 /// down-stage (inverted triangles) of the Fig. 7 tessellation; used by tests

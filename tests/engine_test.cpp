@@ -4,9 +4,11 @@
 // Engine's plan cache, and the tuner's shape-bucket widening.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -152,7 +154,7 @@ TEST(Engine, AdvanceStreamsStepwise) {
   copy(a, b);
   copy(a, ra);
   copy(a, rb);
-  for (int t = 0; t < 7; ++t) ps.advance(a.view(), b.view(), 1);
+  for (int t = 0; t < 7; ++t) ps.run(a.view(), b.view(), 1);
   ps.run(ra.view(), rb.view(), 7);
   EXPECT_EQ(max_abs_diff(a, ra), 0.0);
 }
@@ -256,6 +258,227 @@ TEST(Engine, RejectsBadViews) {
   // Dimensionality mismatch.
   Grid1D a1(64, h), b1(64, h);
   EXPECT_THROW(ps.run(a1.view(), b1.view(), 1), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// One view-rejection table, run against a 1-D, a 2-D and a 3-D handle.
+// ---------------------------------------------------------------------------
+
+// Geometry of a hand-built view: interior pointer, extents and strides per
+// axis (x first; the x stride is 1), halo.
+struct ViewShape {
+  double* p;
+  std::array<int, 3> n;
+  std::array<long, 3> s;
+  int h;
+};
+
+// Per-dimension half of the table: the preset it prepares, a grid factory
+// (optionally one axis 8 cells too long), and converters between views and
+// ViewShape so each case can bend exactly one field.
+template <int D>
+struct RejectFixture;
+
+template <>
+struct RejectFixture<1> {
+  using V = FieldView1D;
+  static constexpr Preset kPreset = Preset::Apop;  // 1-D carries the source k
+  static Extents ext() { return {256, 0, 0}; }
+  static Grid1D grid(int h, int grow = -1) {
+    return Grid1D(256 + (grow == 0 ? 8 : 0), h);
+  }
+  static ViewShape shape(const V& v) {
+    return {v.data(), {v.n(), 1, 1}, {1, 0, 0}, v.halo()};
+  }
+  static V make(const ViewShape& s) { return V(s.p, s.n[0], s.h); }
+  static long slab(const V&) { return 8; }  // aligned partial-overlap offset
+  static void run(const PreparedStencil& ps, V a, V b, const V* k) {
+    if (k != nullptr)
+      ps.run(a, b, *k, 1);
+    else
+      ps.run(a, b, 1);
+  }
+  static void validate(const PreparedStencil& ps, V a, V b, const V* k) {
+    ps.validate_views(a, b, k);
+  }
+};
+
+template <>
+struct RejectFixture<2> {
+  using V = FieldView2D;
+  static constexpr Preset kPreset = Preset::Heat2D;
+  static Extents ext() { return {64, 48, 0}; }
+  static Grid2D grid(int h, int grow = -1) {
+    return Grid2D(48 + (grow == 1 ? 8 : 0), 64 + (grow == 0 ? 8 : 0), h);
+  }
+  static ViewShape shape(const V& v) {
+    return {v.data(), {v.nx(), v.ny(), 1}, {1, v.stride(), 0}, v.halo()};
+  }
+  static V make(const ViewShape& s) {
+    return V(s.p, s.n[1], s.n[0], static_cast<int>(s.s[1]), s.h);
+  }
+  static long slab(const V& v) { return v.stride(); }
+  static void run(const PreparedStencil& ps, V a, V b, const V*) {
+    ps.run(a, b, 1);
+  }
+  static void validate(const PreparedStencil& ps, V a, V b, const V*) {
+    ps.validate_views(a, b);
+  }
+};
+
+template <>
+struct RejectFixture<3> {
+  using V = FieldView3D;
+  static constexpr Preset kPreset = Preset::Heat3D;
+  static Extents ext() { return {24, 16, 12}; }
+  static Grid3D grid(int h, int grow = -1) {
+    return Grid3D(12 + (grow == 2 ? 8 : 0), 16 + (grow == 1 ? 8 : 0),
+                  24 + (grow == 0 ? 8 : 0), h);
+  }
+  static ViewShape shape(const V& v) {
+    return {v.data(),
+            {v.nx(), v.ny(), v.nz()},
+            {1, v.stride(), static_cast<long>(v.plane_stride())},
+            v.halo()};
+  }
+  static V make(const ViewShape& s) {
+    return V(s.p, s.n[2], s.n[1], s.n[0], static_cast<int>(s.s[1]),
+             static_cast<std::size_t>(s.s[2]), s.h);
+  }
+  static long slab(const V& v) { return static_cast<long>(v.plane_stride()); }
+  static void run(const PreparedStencil& ps, V a, V b, const V*) {
+    ps.run(a, b, 1);
+  }
+  static void validate(const PreparedStencil& ps, V a, V b, const V*) {
+    ps.validate_views(a, b);
+  }
+};
+
+template <int D>
+void check_view_rejection_table() {
+  using F = RejectFixture<D>;
+  using V = typename F::V;
+  // A resident-accepting handle, so the layout rows of the table can tell a
+  // foreign tag, a mixed pair and a width-mismatched resident tag apart.
+  ExecOptions opts;
+  opts.method = Method::Ours;
+  opts.tiling = Tiling::Off;
+  opts.layout = Layout::Transposed;
+  const PreparedStencil ps =
+      Engine::instance().prepare(F::kPreset, F::ext(), opts);
+  ASSERT_EQ(ps.resident_layout(), Layout::Transposed);
+  const int h = ps.halo();
+  const int w = ps.kernel().width;
+  ASSERT_GE(h, 1);
+  auto ga = F::grid(h), gb = F::grid(h), gk = F::grid(h), thin = F::grid(h - 1);
+  const V a = ga.view(), b = gb.view(), k = gk.view();
+  const V* kk = ps.spec().has_source ? &k : nullptr;
+  ASSERT_EQ(kk != nullptr, D == 1);
+
+  auto rejects = [&](const std::string& what, const V& va, const V& vb,
+                     const V* vk) {
+    SCOPED_TRACE(std::to_string(D) + "-D: " + what);
+    EXPECT_THROW(F::run(ps, va, vb, vk), std::invalid_argument);
+    EXPECT_THROW(F::validate(ps, va, vb, vk), std::invalid_argument);
+  };
+  EXPECT_NO_THROW(F::run(ps, a, b, kk));  // the table's baseline is valid
+  EXPECT_THROW(F::run(PreparedStencil{}, a, b, kk), std::invalid_argument);
+
+  rejects("empty a", V{}, b, kk);
+  rejects("empty b", a, V{}, kk);
+  rejects("thin halo", thin.view(), b, kk);
+  rejects("thin halo on b", a, thin.view(), kk);
+  for (int axis = 0; axis < D; ++axis) {
+    auto wide = F::grid(h, axis);
+    rejects("wrong extent on axis " + std::to_string(axis), wide.view(), b,
+            kk);
+    rejects("wrong extent of b on axis " + std::to_string(axis), a,
+            wide.view(), kk);
+  }
+  rejects("foreign layout", a.with_layout(Layout::DLT, w),
+          b.with_layout(Layout::DLT, w), kk);
+  rejects("mixed layout", a.with_layout(Layout::Transposed, w), b, kk);
+  rejects("resident tag without width", a.with_layout(Layout::Transposed),
+          b.with_layout(Layout::Transposed), kk);
+  const int other_w = w == 8 ? 4 : 8;
+  rejects("resident tag of another width",
+          a.with_layout(Layout::Transposed, other_w),
+          b.with_layout(Layout::Transposed, other_w), kk);
+  ViewShape s = F::shape(a);
+  s.p += 1;
+  rejects("misaligned interior", F::make(s), b, kk);
+  for (int axis = 1; axis < D; ++axis) {
+    s = F::shape(a);
+    s.s[axis] += 1;
+    rejects("stride not a multiple of 8 on axis " + std::to_string(axis),
+            F::make(s), b, kk);
+    // A multiple of 8 that still lets consecutive rows/planes alias.
+    s = F::shape(a);
+    const long need = s.s[axis - 1] * (s.n[axis - 1] + 2L * h);
+    s.s[axis] = (need - 1) / 8 * 8;
+    rejects("short stride on axis " + std::to_string(axis), F::make(s), b,
+            kk);
+  }
+  rejects("full overlap", a, a, kk);
+  // pa and pb share one allocation, pb starting one row/plane (8 cells in
+  // 1-D) into pa's span.
+  auto big = F::grid(h, D - 1);
+  s = F::shape(big.view());
+  s.n[D - 1] -= 8;
+  const V pa = F::make(s);
+  s.p += F::slab(pa);
+  const V pb = F::make(s);
+  rejects("partial overlap", pa, pb, kk);
+
+  if (kk == nullptr) return;
+  const V empty{};
+  const V kthin = thin.view();
+  s = F::shape(k);
+  s.p += 1;
+  const V kshift = F::make(s);
+  const V kforeign = k.with_layout(Layout::DLT, w);
+  rejects("missing k", a, b, nullptr);
+  rejects("empty k", a, b, &empty);
+  rejects("thin halo on k", a, b, &kthin);
+  rejects("misaligned k", a, b, &kshift);
+  rejects("foreign layout on k", a, b, &kforeign);
+  rejects("k is a", a, b, &a);
+  rejects("k is b", a, b, &b);
+  rejects("k overlaps a", pa, b, &pb);
+  rejects("k overlaps b", a, pa, &pb);
+  auto kwide = F::grid(h, 0);
+  const V kw = kwide.view();
+  rejects("wrong extent on k", a, b, &kw);
+}
+
+TEST(Engine, RejectsBadViewsEveryDim) {
+  check_view_rejection_table<1>();
+  check_view_rejection_table<2>();
+  check_view_rejection_table<3>();
+}
+
+// Extents no view can carry are rejected at prepare time (and by
+// plan_key(), which resolves the same request), instead of yielding a
+// handle whose geometry was truncated or negative.
+TEST(Engine, PrepareRejectsExtentsNoViewCanCarry) {
+  Engine& eng = Engine::instance();
+  const long too_big = 3000000000L;  // > INT_MAX
+  for (const Extents bad : {Extents{-64, 64, 0}, Extents{64, -1, 0},
+                            Extents{too_big, 64, 0}, Extents{64, too_big, 0}}) {
+    SCOPED_TRACE(std::to_string(bad.nx) + " x " + std::to_string(bad.ny));
+    EXPECT_THROW(eng.prepare(Preset::Heat2D, bad), std::invalid_argument);
+    EXPECT_THROW(eng.prepare_shared(Preset::Heat2D, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(eng.plan_key(preset(Preset::Heat2D), bad),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(eng.prepare(Preset::Heat3D, Extents{64, 64, -8}),
+               std::invalid_argument);
+  EXPECT_THROW(eng.prepare(Preset::Heat1D, Extents{-1, 0, 0}),
+               std::invalid_argument);
+  // Unset (0) axes still default to the preset size.
+  EXPECT_EQ(eng.prepare(Preset::Heat2D, Extents{0, 64, 0}).nx(),
+            preset(Preset::Heat2D).small_size[0]);
 }
 
 TEST(Engine, EnforcesSourceArity) {
@@ -411,7 +634,7 @@ TEST(ResidentLayout, ResidentAdvanceStreamMatchesOneRun) {
   copy(a, rb);
   auto av = to_resident_layout(res, a.view());
   auto bv = to_resident_layout(res, b.view());
-  for (int t = 0; t < 8; ++t) res.advance(av, bv, 1);
+  for (int t = 0; t < 8; ++t) res.run(av, bv, 1);
   to_natural_layout(res, av);
   for (int t = 0; t < 8; ++t) natural.run(ra.view(), rb.view(), 1);
   EXPECT_EQ(max_abs_diff(a, ra), 0.0);
@@ -580,8 +803,8 @@ TEST(Engine, HaloCleanMatchesSyncedPath) {
   copy(sa, ca);
   copy(sa, cb);
   for (int t = 0; t < 6; ++t) {
-    synced.advance(sa.view(), sb.view(), 1);
-    clean.advance(ca.view(), cb.view(), 1);
+    synced.run(sa.view(), sb.view(), 1);
+    clean.run(ca.view(), cb.view(), 1);
   }
   EXPECT_EQ(max_abs_diff(sa, ca), 0.0);
 }
@@ -611,8 +834,8 @@ TEST(Engine, HaloCleanResidentStreamMatchesSyncedNatural) {
   auto cav = to_resident_layout(resclean, ca.view());
   auto cbv = to_resident_layout(resclean, cb.view());
   for (int t = 0; t < 7; ++t) {
-    synced.advance(sa.view(), sb.view(), 1);
-    resclean.advance(cav, cbv, 1);
+    synced.run(sa.view(), sb.view(), 1);
+    resclean.run(cav, cbv, 1);
   }
   to_natural_layout(resclean, cav);
   EXPECT_EQ(max_abs_diff(sa, ca), 0.0);
@@ -771,8 +994,8 @@ TEST(Engine, ValidationOffMatchesValidatedRunBitwise) {
   copy(va, ua);
   copy(va, ub);
   for (int t = 0; t < 5; ++t) {
-    checked.advance(va.view(), vb.view(), 1);
-    unchecked.advance(ua.view(), ub.view(), 1);
+    checked.run(va.view(), vb.view(), 1);
+    unchecked.run(ua.view(), ub.view(), 1);
   }
   EXPECT_EQ(max_abs_diff(va, ua), 0.0);
 }

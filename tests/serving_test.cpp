@@ -1,5 +1,5 @@
 // Tests for the serving subsystem (serving/server.hpp) and its engine-level
-// foundations: bitwise agreement of batched vs. sequential advance() for all
+// foundations: bitwise agreement of batched vs. sequential run() for all
 // nine presets, server end-to-end correctness, batching under load,
 // multi-threaded client stress across mixed presets and tenants,
 // backpressure/rejection semantics (queue-full, tenant budgets, bad
@@ -88,19 +88,19 @@ void make_items(const StencilSpec& spec, const PreparedStencil& ps, int nitems,
   }
 }
 
-// Advances every sequential-baseline item one at a time through advance().
+// Advances every sequential-baseline item one at a time through run().
 void run_sequential(const StencilSpec& spec, const PreparedStencil& ps,
                     int nitems, ItemStore& seq) {
   for (int i = 0; i < nitems; ++i) {
     if (spec.dims == 1) {
       if (spec.has_source)
-        ps.advance(seq.a1[i], seq.b1[i], seq.k1[i], kSteps);
+        ps.run(seq.a1[i], seq.b1[i], seq.k1[i], kSteps);
       else
-        ps.advance(seq.a1[i], seq.b1[i], kSteps);
+        ps.run(seq.a1[i], seq.b1[i], kSteps);
     } else if (spec.dims == 2) {
-      ps.advance(seq.a2[i], seq.b2[i], kSteps);
+      ps.run(seq.a2[i], seq.b2[i], kSteps);
     } else {
-      ps.advance(seq.a3[i], seq.b3[i], kSteps);
+      ps.run(seq.a3[i], seq.b3[i], kSteps);
     }
   }
 }
@@ -121,7 +121,7 @@ double batch_diff(const StencilSpec& spec, int nitems, const ItemStore& seq,
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: advance_batch() vs. advance().
+// Engine level: advance_batch() vs. run().
 // ---------------------------------------------------------------------------
 
 TEST(AdvanceBatch, BitwiseMatchesSequentialAllPresets) {
@@ -378,18 +378,18 @@ TEST(Server, MultiThreadedClientsMixedPresetsAndTenants) {
                             : spec.dims == 2 ? d.seq.a2.size()
                                              : d.seq.a3.size()) -
             1);
-        // Sequential expectation first (advance() is thread-safe), then the
+        // Sequential expectation first (run() is thread-safe), then the
         // served copy.
         if (spec.dims == 1) {
-          ps.advance(d.seq.a1[i], d.seq.b1[i], kSteps);
+          ps.run(d.seq.a1[i], d.seq.b1[i], kSteps);
           d.futures.push_back(server.submit(tenant, ps, d.bat.a1[i].view(),
                                             d.bat.b1[i].view(), kSteps));
         } else if (spec.dims == 2) {
-          ps.advance(d.seq.a2[i], d.seq.b2[i], kSteps);
+          ps.run(d.seq.a2[i], d.seq.b2[i], kSteps);
           d.futures.push_back(server.submit(tenant, ps, d.bat.a2[i].view(),
                                             d.bat.b2[i].view(), kSteps));
         } else {
-          ps.advance(d.seq.a3[i], d.seq.b3[i], kSteps);
+          ps.run(d.seq.a3[i], d.seq.b3[i], kSteps);
           d.futures.push_back(server.submit(tenant, ps, d.bat.a3[i].view(),
                                             d.bat.b3[i].view(), kSteps));
         }

@@ -142,6 +142,34 @@ std::vector<Case> make_cases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, Tiled, ::testing::ValuesIn(make_cases()),
                          case_name);
 
+// A (method, dims, ISA) with no registered kernel throws instead of
+// running: Method::Auto names no kernel, so both entry points reject it in
+// every dimension, single and batched (the batch on a real pool).
+TEST(Tiled, MissingKernelThrowsEveryDimSingleAndBatched) {
+  TilePlan plan;
+  plan.method = Method::Auto;
+  plan.threads = 2;
+  Grid1D a1(64, 8), b1(64, 8), c1(64, 8), d1(64, 8);
+  Grid2D a2(16, 16, 8), b2(16, 16, 8), c2(16, 16, 8), d2(16, 16, 8);
+  Grid3D a3(8, 8, 8, 8), b3(8, 8, 8, 8), c3(8, 8, 8, 8), d3(8, 8, 8, 8);
+  const Pattern1D& p1 = preset(Preset::Heat1D).p1;
+  const Pattern2D& p2 = preset(Preset::Heat2D).p2;
+  const Pattern3D& p3 = preset(Preset::Heat3D).p3;
+  EXPECT_THROW(run_tile_plan(p1, a1, b1, nullptr, nullptr, 4, plan),
+               std::invalid_argument);
+  EXPECT_THROW(run_tile_plan(p2, a2, b2, 4, plan), std::invalid_argument);
+  EXPECT_THROW(run_tile_plan(p3, a3, b3, 4, plan), std::invalid_argument);
+  const std::vector<TileBatch1D> batch1 = {{a1, b1}, {c1, d1}};
+  const std::vector<TileBatch2D> batch2 = {{a2, b2}, {c2, d2}};
+  const std::vector<TileBatch3D> batch3 = {{a3, b3}, {c3, d3}};
+  EXPECT_THROW(run_tile_plan_batch(p1, batch1, nullptr, 4, plan),
+               std::invalid_argument);
+  EXPECT_THROW(run_tile_plan_batch(p2, batch2, nullptr, 4, plan),
+               std::invalid_argument);
+  EXPECT_THROW(run_tile_plan_batch(p3, batch3, nullptr, 4, plan),
+               std::invalid_argument);
+}
+
 TEST(Tiled, ThreadCountInvariance) {
   // Same bit-exact result for 1, 2 and 8 threads (stages are synchronized;
   // tiles are disjoint).
